@@ -6,11 +6,11 @@
 //! performance trajectory:
 //!
 //! ```text
-//! cargo run --release -p laps-bench -- --emit-baseline
+//! cargo run --release -p laps-bench -- --emit-baseline --out BENCH_NEW.json
 //! ```
 //!
-//! writes `BENCH_PR9.json` at the invocation directory (the repo root
-//! when run via cargo) in the [`npfarm::benchdiff`] schema
+//! writes the named file (relative to the invocation directory, the repo
+//! root when run via cargo) in the [`npfarm::benchdiff`] schema
 //! `bench name → {packets_per_sec, events_per_sec, wall_ms}` — the same
 //! schema the `benchdiff` binary gates CI with. The emitted file also
 //! carries a `"host"` fingerprint block (cpu model, core count, rustc
@@ -32,9 +32,9 @@
 //!   real-thread rows remain different quantities and are never
 //!   ratio-gated against each other.
 //!
-//! Flags: `--emit-baseline` (write the JSON; otherwise print only),
-//! `--short` (CI-sized run), `--out <path>` (override the output path),
-//! `--cycles <path>` (write the batched run's per-stage cycle CSV),
+//! Flags: `--emit-baseline --out <path>` (write the JSON to `<path>`;
+//! `--out` is required, so a run can never overwrite a committed
+//! baseline by default; otherwise print only), `--short` (CI-sized run),
 //! `--check-batch-speedup <ratio>` (exit 1 unless
 //! `hotpath-batch ≥ ratio × hotpath` — the same-host, same-run gate).
 
@@ -67,7 +67,7 @@ fn hotpath_sources() -> Vec<SourceConfig> {
 
 /// Events dispatched by a run — counted exactly by the engine's run loop
 /// (arrivals, service completions, rate updates) and identical across
-/// event-queue backends and execution modes.
+/// execution modes.
 fn events_of(report: &SimReport) -> f64 {
     report.events as f64
 }
@@ -174,19 +174,6 @@ fn measure_exec(duration_ms: u64, repeat: usize) -> (String, BenchMetrics) {
     )
 }
 
-/// Rerun the batched hotpath workload with cycle accounting and render
-/// the per-stage CSV (separate from the timed rows so the accounting's
-/// clock reads never contaminate the tracked numbers).
-fn cycle_csv(duration_ms: u64) -> String {
-    let engine = Engine::new(
-        hotpath_cfg(duration_ms, ExecutionMode::default()),
-        &hotpath_sources(),
-        Fcfs::new(),
-    );
-    let (_report, cycles) = engine.run_with_cycles();
-    cycles.to_csv()
-}
-
 fn pps_of(rows: &BenchFile, name: &str) -> Option<f64> {
     rows.iter()
         .find(|(n, _)| n == name)
@@ -203,8 +190,13 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
-    let cycles_path = flag_value("--cycles");
+    // Only written with --emit-baseline, and never to a default path.
+    let out_path = emit.then(|| {
+        flag_value("--out").unwrap_or_else(|| {
+            eprintln!("--emit-baseline needs --out <path>");
+            std::process::exit(2);
+        })
+    });
     let speedup_floor: Option<f64> = flag_value("--check-batch-speedup").map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--check-batch-speedup wants a number, got {v:?}");
@@ -270,18 +262,8 @@ fn main() {
         rows,
     });
 
-    if emit {
-        match std::fs::write(&out_path, &json) {
-            Ok(()) => eprintln!("wrote {out_path}"),
-            Err(e) => {
-                eprintln!("failed to write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = cycles_path {
-        let csv = cycle_csv(duration_ms);
-        match std::fs::write(&path, &csv) {
+    if let Some(path) = out_path {
+        match std::fs::write(&path, &json) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");

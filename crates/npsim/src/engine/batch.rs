@@ -34,21 +34,20 @@
 //! classifier RNG, packet IDs, scheduler state — runs at processing
 //! time, in merged event order.
 //!
-//! Fault plans, non-drop-tail policies, and the timer-wheel backend
-//! fall back to the scalar loop (checked by
-//! [`Engine::batch_eligible`]); the `batch_equivalence` workspace test
-//! pins byte-identical reports across both loops for every registered
-//! policy.
+//! The event handlers themselves are shared with the scalar loop (see
+//! [`Pending`]); this module supplies only the merge and the batched
+//! pending set. Fault plans and non-drop-tail policies fall back to the
+//! scalar loop (checked by [`Engine::batch_eligible`]); the
+//! `batch_equivalence` workspace test pins byte-identical reports across
+//! both loops for every registered policy.
 
-use super::cycles::{CycleSink, Stage};
-use super::ingest::Admission;
-use super::service::EnqueueOutcome;
-use super::{Engine, EventBackend, ExecutionMode};
-use crate::event::SimEvent;
-use crate::packet::PacketDesc;
+use super::ingest::{Admission, IngestStage};
+use super::pending::Pending;
+use super::{Engine, ExecutionMode};
 use crate::probe::ProbeHost;
 use crate::sched::Scheduler;
 use detsim::SimTime;
+use nphash::FlowSlot;
 
 /// The batched loop's pending-event set: the explicit, bounded
 /// replacement for the scalar loop's heap.
@@ -60,8 +59,10 @@ use detsim::SimTime;
 /// rescan happens only when the cached minimum itself is consumed.
 #[derive(Debug)]
 pub(super) struct BatchState {
-    /// Per-core pending finish: `(completion time, emulated seq)`.
-    finish: Vec<Option<(SimTime, u64)>>,
+    /// Per-core pending finish as one `(completion time, emulated seq)`
+    /// key, time in the high 64 bits (`u128::MAX` = none), so the rescan
+    /// is a branch-light min over plain integers.
+    finish: Vec<u128>,
     /// Cached minimum over `finish`: `(time, seq, core)`.
     finish_min: Option<(SimTime, u64, u32)>,
     /// Cached minimum over the per-source head arrivals:
@@ -76,7 +77,7 @@ pub(super) struct BatchState {
 impl BatchState {
     fn new(n_cores: usize) -> Self {
         BatchState {
-            finish: vec![None; n_cores],
+            finish: vec![u128::MAX; n_cores],
             finish_min: None,
             arrival_min: None,
             rate: None,
@@ -104,8 +105,8 @@ impl BatchState {
     #[inline]
     fn arm_finish(&mut self, core: usize, at: SimTime, seq: u64) {
         if let Some(slot) = self.finish.get_mut(core) {
-            debug_assert!(slot.is_none(), "core {core} double-armed");
-            *slot = Some((at, seq));
+            debug_assert!(*slot == u128::MAX, "core {core} double-armed");
+            *slot = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
         }
         if self
             .finish_min
@@ -120,16 +121,67 @@ impl BatchState {
     #[inline]
     fn consume_finish(&mut self, core: usize) {
         if let Some(slot) = self.finish.get_mut(core) {
-            *slot = None;
+            *slot = u128::MAX;
         }
-        self.finish_min = None;
-        for (c, slot) in self.finish.iter().enumerate() {
-            if let Some((t, s)) = *slot {
-                if self.finish_min.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    self.finish_min = Some((t, s, c as u32));
-                }
+        let mut best = (u128::MAX, 0);
+        for (c, &key) in self.finish.iter().enumerate() {
+            if key < best.0 {
+                best = (key, c);
             }
         }
+        self.finish_min = (best.0 != u128::MAX).then(|| {
+            let t = SimTime::from_nanos((best.0 >> 64) as u64);
+            (t, best.0 as u64, best.1 as u32)
+        });
+    }
+}
+
+/// The batched pending set: arrivals come from the ingest stage's
+/// lookahead rings (refilled at exactly the scalar draw points), finishes
+/// and the rate tick land in their slots with an emulated seq.
+impl Pending for BatchState {
+    const PREFETCH: bool = true;
+
+    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission {
+        match ingest.batch_pop(src) {
+            Some(rec) => ingest.admit_record(src, rec),
+            None => {
+                debug_assert!(false, "arrival winner without a buffered record");
+                Admission::Missing
+            }
+        }
+    }
+
+    /// Refill `src`'s lookahead if drained (this IS the scalar gap-draw
+    /// position), stamp the new head's seq, and hand back its flow slot
+    /// for the flow-table prefetch.
+    fn park_arrival(
+        &mut self,
+        ingest: &mut IngestStage,
+        src: usize,
+        _now: SimTime,
+        horizon: SimTime,
+    ) -> Option<FlowSlot> {
+        if ingest.batch_needs_refill(src) {
+            ingest.batch_refill(src, self.barrier(), horizon);
+        }
+        if !ingest.batch_has_head(src) {
+            return None;
+        }
+        let seq = self.alloc();
+        ingest.batch_set_head_seq(src, seq);
+        let flow = ingest.batch_peek_flow(src, 0)?;
+        ingest.cached_slot(src, flow)
+    }
+
+    fn park_finish(&mut self, core: usize, at: SimTime, _generation: u32) {
+        let seq = self.alloc();
+        self.arm_finish(core, at, seq);
+    }
+
+    fn park_rate_update(&mut self, at: SimTime) {
+        let seq = self.alloc();
+        self.rate = Some((at, seq));
     }
 }
 
@@ -143,23 +195,17 @@ enum Win {
 
 impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Whether this configuration runs under the batched loop. Fault
-    /// machinery (crash generations, floods, head-drop/staging) and the
-    /// timer-wheel backend keep the scalar loop.
+    /// machinery (crash generations, stalls, floods, head-drop/staging)
+    /// keeps the scalar loop.
     pub(super) fn batch_eligible(&self) -> bool {
-        matches!(self.cfg.execution, ExecutionMode::Batched { .. })
-            && !self.faults_enabled
-            && self.cfg.event_backend == EventBackend::Heap
+        self.cfg.execution == ExecutionMode::Batched && !self.faults_enabled
     }
 
     /// The batched run loop. Returns the time of the last dispatched
     /// event (the scalar loop's `last_t`), for the shared epilogue.
-    pub(super) fn run_batched<C: CycleSink>(&mut self, sink: &mut C) -> SimTime {
+    pub(super) fn run_batched(&mut self) -> SimTime {
         debug_assert!(self.batch_eligible());
-        let burst = match self.cfg.execution {
-            ExecutionMode::Batched { burst } => burst as usize,
-            ExecutionMode::Scalar => 1,
-        };
-        self.ingest.batch_init(burst);
+        self.ingest.batch_init();
         let n_sources = self.ingest.n_sources();
         let horizon = self.cfg.duration;
         let mut st = BatchState::new(self.cfg.n_cores);
@@ -175,20 +221,16 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             SimTime::MAX
         };
         for src in 0..n_sources {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = self.ingest.batch_refill(src, barrier0, horizon);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
+            self.ingest.batch_refill(src, barrier0, horizon);
         }
         for src in 0..n_sources {
-            if self.ingest.batch_head(src).is_some() {
+            if self.ingest.batch_has_head(src) {
                 let seq = st.alloc();
                 self.ingest.batch_set_head_seq(src, seq);
             }
         }
         if self.cfg.rate_update_interval <= horizon {
-            st.rate = Some((self.cfg.rate_update_interval, st.alloc()));
+            st.park_rate_update(self.cfg.rate_update_interval);
         }
         self.rescan_arrivals(&mut st);
 
@@ -197,7 +239,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             // Winner pick: minimum (time, seq) across the rate slot and
             // the two cached family minima — the exact total order the
             // scalar heap would pop in, in three comparisons.
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
             let mut best: Option<(SimTime, u64, Win)> = st.rate.map(|(t, s)| (t, s, Win::Rate));
             if let Some((t, s, core)) = st.finish_min {
                 if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
@@ -209,9 +250,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     best = Some((t, s, Win::Arrival(src as usize)));
                 }
             }
-            if C::ACTIVE {
-                sink.span_end(Stage::Merge, t0, 1);
-            }
             let Some((t, _seq, win)) = best else {
                 break;
             };
@@ -221,16 +259,20 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             self.record.note_loop_event();
             match win {
                 Win::Arrival(src) => {
-                    self.batch_arrival(src, t, &mut st, sink);
+                    self.on_arrival(src, t, &mut st);
                     // The fired head was the arrival minimum; re-derive
                     // it from the (possibly refilled) heads.
                     self.rescan_arrivals(&mut st);
                 }
                 Win::Finish(core) => {
                     st.consume_finish(core);
-                    self.batch_finish(core, t, &mut st, sink);
+                    let generation = self.service.generation(core);
+                    self.on_finish(core, generation, t, &mut st);
                 }
-                Win::Rate => self.batch_rate_update(t, &mut st),
+                Win::Rate => {
+                    st.rate = None;
+                    self.on_rate_update(t, &mut st);
+                }
             }
             #[cfg(feature = "invariants")]
             self.check_invariants(t, last_t);
@@ -254,245 +296,5 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
         }
         st.arrival_min = best;
-    }
-
-    /// The batched arrival handler: mirrors `on_arrival` minus the
-    /// fault-only blocks (dead-core redirect, head-drop, staging), which
-    /// `batch_eligible` proves unreachable here.
-    fn batch_arrival<C: CycleSink>(
-        &mut self,
-        src: usize,
-        now: SimTime,
-        st: &mut BatchState,
-        sink: &mut C,
-    ) {
-        let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let Some(rec) = self.ingest.batch_pop(src) else {
-            debug_assert!(false, "arrival winner without a buffered record");
-            return;
-        };
-        let header = match self.ingest.admit_record(src, rec) {
-            Admission::Missing => return,
-            Admission::SlowPath { service } => {
-                self.record
-                    .publish(now, &SimEvent::DivertedSlowPath { service });
-                if C::ACTIVE {
-                    sink.span_end(Stage::Dispatch, t0, 1);
-                }
-                self.batch_next_arrival(src, st, sink);
-                return;
-            }
-            Admission::FastPath(h) => h,
-        };
-        self.dispatch.grow_flows(self.ingest.flow_count());
-        let flow_seq = self.dispatch.next_seq(header.slot);
-        let mut pkt = PacketDesc {
-            id: header.id,
-            flow: header.flow,
-            slot: header.slot,
-            service: header.service,
-            size: header.size,
-            arrival: now,
-            flow_seq,
-            migrated: false,
-            sync_debt_ns: 0,
-        };
-        self.record.publish(
-            now,
-            &SimEvent::PacketArrived {
-                id: pkt.id,
-                slot: pkt.slot,
-                service: pkt.service,
-                size: pkt.size,
-            },
-        );
-        let target = self.dispatch.choose_core(&pkt, now, self.cfg.n_cores);
-        if P::ACTIVE {
-            self.drain_sched_events(now);
-        }
-        // SCR sync stamp — same point in the arrival as the scalar
-        // loop (after the decision, before last-core bookkeeping), so
-        // both loops stamp identical debts and reports stay
-        // byte-identical. The replica touch commits below, only if the
-        // queue accepts.
-        if self.sync_enabled {
-            self.stamp_sync(&mut pkt, target);
-        }
-        let prev_core = self.dispatch.last_core(pkt.slot);
-        let migrated = matches!(prev_core, Some(c) if c != target);
-        pkt.migrated = migrated;
-        if C::ACTIVE {
-            sink.span_end(Stage::Dispatch, t0, 1);
-        }
-
-        let t1 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let outcome = self.service.enqueue(target, pkt, now);
-        debug_assert!(
-            !matches!(
-                outcome,
-                EnqueueOutcome::HeadDropped { .. } | EnqueueOutcome::Staged(_)
-            ),
-            "head-drop/staging need fault machinery, which disables batching"
-        );
-        match outcome {
-            EnqueueOutcome::Dropped => {
-                self.record.publish(
-                    now,
-                    &SimEvent::Dropped {
-                        id: pkt.id,
-                        slot: pkt.slot,
-                        service: pkt.service,
-                        core: target,
-                    },
-                );
-                self.dispatch.on_drop(&pkt, target);
-                self.record.note_drop_gap(pkt.slot, pkt.flow_seq, now);
-            }
-            EnqueueOutcome::Enqueued(len)
-            | EnqueueOutcome::HeadDropped { len, .. }
-            | EnqueueOutcome::Staged(len) => {
-                if self.sync_enabled {
-                    self.commit_sync(pkt.slot, target, pkt.sync_debt_ns);
-                }
-                if P::ACTIVE {
-                    self.record.publish(
-                        now,
-                        &SimEvent::Dispatched {
-                            id: pkt.id,
-                            slot: pkt.slot,
-                            service: pkt.service,
-                            core: target,
-                            queue_len: len,
-                            migrated,
-                        },
-                    );
-                }
-                if migrated {
-                    if let Some(from) = prev_core {
-                        self.record.publish(
-                            now,
-                            &SimEvent::Migration {
-                                slot: pkt.slot,
-                                from,
-                                to: target,
-                            },
-                        );
-                    }
-                }
-                self.dispatch.set_last_core(pkt.slot, target);
-                self.batch_start_processing(target, now, st);
-            }
-        }
-        self.sync_info(target);
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t1, 1);
-        }
-
-        self.batch_next_arrival(src, st, sink);
-    }
-
-    /// After an arrival from `src`: refill its lookahead if drained
-    /// (this IS the scalar `schedule_next_arrival` RNG position), stamp
-    /// the new head's seq, and prefetch the flow-table lines the next
-    /// head will touch.
-    fn batch_next_arrival<C: CycleSink>(&mut self, src: usize, st: &mut BatchState, sink: &mut C) {
-        if self.ingest.batch_needs_refill(src) {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = self
-                .ingest
-                .batch_refill(src, st.barrier(), self.cfg.duration);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
-        }
-        if self.ingest.batch_head(src).is_some() {
-            let seq = st.alloc();
-            self.ingest.batch_set_head_seq(src, seq);
-            // The head arrival's flow is known now; start the flow-table
-            // fills it will need at processing time.
-            if let Some(flow) = self.ingest.batch_peek_flow(src, 0) {
-                if let Some(slot) = self.ingest.cached_slot(src, flow) {
-                    self.dispatch.prefetch_flow(slot);
-                }
-            }
-        }
-    }
-
-    /// The batched service-start: `start_processing` minus the heap push
-    /// — the finish lands in the core's slot with an emulated seq.
-    fn batch_start_processing(&mut self, core: usize, now: SimTime, st: &mut BatchState) {
-        if let Some(started) = self.service.start_processing(core, now) {
-            let seq = st.alloc();
-            st.arm_finish(core, now + started.duration, seq);
-            // The departure will read the order tracker's line for this
-            // flow one service time from now; start the fill early.
-            self.record.prefetch_departure(started.slot);
-            self.record.publish(
-                now,
-                &SimEvent::ServiceStart {
-                    core,
-                    service: started.service,
-                    cold: started.cold,
-                    migrated: started.migrated,
-                    duration: started.duration,
-                },
-            );
-        }
-    }
-
-    /// The batched finish handler: `on_finish` minus the generation
-    /// check (generations never advance without crashes).
-    fn batch_finish<C: CycleSink>(
-        &mut self,
-        core: usize,
-        now: SimTime,
-        st: &mut BatchState,
-        sink: &mut C,
-    ) {
-        let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let Some(pkt) = self.service.take_current(core) else {
-            debug_assert!(
-                false,
-                "finish event without packet in service on core {core}"
-            );
-            return;
-        };
-        if P::ACTIVE {
-            self.record.publish(
-                now,
-                &SimEvent::ServiceEnd {
-                    core,
-                    service: pkt.service,
-                },
-            );
-        }
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t0, 1);
-        }
-        let t1 = if C::ACTIVE { sink.span_start() } else { 0 };
-        self.record.departure(pkt, now);
-        if C::ACTIVE {
-            sink.span_end(Stage::Record, t1, 1);
-        }
-        let t2 = if C::ACTIVE { sink.span_start() } else { 0 };
-        self.batch_start_processing(core, now, st);
-        self.sync_info(core);
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t2, 0);
-        }
-    }
-
-    /// The batched rate update: `on_rate_update` with the reschedule
-    /// landing in the rate slot instead of the heap.
-    fn batch_rate_update(&mut self, now: SimTime, st: &mut BatchState) {
-        st.rate = None;
-        self.ingest.refresh_rates(now);
-        if P::ACTIVE {
-            self.record.publish(now, &SimEvent::EpochTick);
-        }
-        let next = now + self.cfg.rate_update_interval;
-        if next <= self.cfg.duration {
-            st.rate = Some((next, st.alloc()));
-        }
     }
 }

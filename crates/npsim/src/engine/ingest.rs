@@ -16,8 +16,8 @@ use nptraffic::ServiceKind;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Upper bound on the batched mode's per-source lookahead (the DPDK-style
-/// burst size; the runtime cap is `EngineConfig::execution`).
+/// The batched mode's per-source lookahead depth (the DPDK-style burst
+/// size).
 pub(super) const MAX_BURST: usize = 32;
 
 /// Per-source arrival lookahead ring for the batched execution mode.
@@ -44,9 +44,6 @@ struct ArrivalBuf {
     /// stream is over and `cursor` is frozen (scalar draws that crossing
     /// gap too, then never touches the source again).
     exhausted: bool,
-    /// Emulated event-queue sequence number of the head entry, assigned
-    /// at exactly the scalar push point (meaningless while empty).
-    head_seq: u64,
 }
 
 impl ArrivalBuf {
@@ -58,7 +55,6 @@ impl ArrivalBuf {
             len: 0,
             cursor: SimTime::ZERO,
             exhausted: false,
-            head_seq: 0,
         }
     }
 }
@@ -110,8 +106,6 @@ pub(super) struct IngestStage {
     flood: Vec<f64>,
     /// Per-source arrival lookahead (batched mode; empty in scalar mode).
     bursts: Vec<ArrivalBuf>,
-    /// Runtime burst cap (≤ [`MAX_BURST`]); 0 until `batch_init`.
-    burst_cap: usize,
     /// SoA mirror of each buffer's head arrival time (`SimTime::MAX`
     /// when drained): the batched merge scans this flat array instead of
     /// calling into every `ArrivalBuf`, so re-deriving the arrival
@@ -157,7 +151,6 @@ impl IngestStage {
             control_plane_fraction,
             flood: vec![1.0; n],
             bursts: Vec::new(),
-            burst_cap: 0,
             head_times: Vec::new(),
             head_seqs: Vec::new(),
         }
@@ -185,24 +178,8 @@ impl IngestStage {
             debug_assert!(false, "arrival from unknown source {src}");
             return Admission::Missing;
         };
-        let (flow, flow_slot, size) = slot.source.next_header_interned(&mut self.interner);
-        let service = slot.source.service;
-        // Frame-manager classification (Fig. 1): control-plane packets
-        // take the slow path and never enter the data-plane scheduler.
-        if self.control_plane_fraction > 0.0
-            && self.classifier_rng.gen::<f64>() < self.control_plane_fraction
-        {
-            return Admission::SlowPath { service };
-        }
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        Admission::FastPath(Header {
-            flow,
-            slot: flow_slot,
-            service,
-            size,
-            id,
-        })
+        let rec = slot.source.next_record();
+        self.admit_record(src, rec)
     }
 
     /// Draw the inter-arrival gap to `src`'s next packet. A flood factor
@@ -213,7 +190,7 @@ impl IngestStage {
             debug_assert!(false, "arrival from unknown source {src}");
             return None;
         };
-        let gap = slot.source.draw_gap(scale, &mut slot.rng);
+        let gap = slot.source.next_gap(scale, &mut slot.rng);
         let factor = self.flood.get(src).copied().unwrap_or(1.0);
         if factor != 1.0 && factor > 0.0 {
             Some(SimTime::from_nanos(
@@ -241,21 +218,10 @@ impl IngestStage {
         let scale = self.scale;
         let mut primed = Vec::with_capacity(self.sources.len());
         for (i, slot) in self.sources.iter_mut().enumerate() {
-            let gap = slot.source.draw_gap(scale, &mut slot.rng);
+            let gap = slot.source.next_gap(scale, &mut slot.rng);
             primed.push((i, gap));
         }
         primed
-    }
-
-    /// Pre-draw `n` gaps and records per Constant-rate source (see
-    /// [`TrafficSource::prestage`]); a construction-time affordance so
-    /// benchmarks measure the engine, not the traffic model. No-op for
-    /// `n == 0` and for Holt-Winters sources.
-    pub(super) fn prestage_all(&mut self, n: usize) {
-        let scale = self.scale;
-        for slot in &mut self.sources {
-            slot.source.prestage(n, scale, &mut slot.rng);
-        }
     }
 
     /// Re-sample every source's rate law at time `now`.
@@ -279,8 +245,7 @@ impl IngestStage {
     // buffer), where no refresh can intervene.
 
     /// Prepare the per-source lookahead rings for a batched run.
-    pub(super) fn batch_init(&mut self, cap: usize) {
-        self.burst_cap = cap.clamp(1, MAX_BURST);
+    pub(super) fn batch_init(&mut self) {
         debug_assert!(
             self.flood.iter().all(|&f| f == 1.0),
             "batched mode excludes fault-driven floods"
@@ -305,29 +270,26 @@ impl IngestStage {
     /// simulation duration: a gap landing past it consumes RNG (exactly
     /// as the scalar engine's unscheduled final arrival does) but ends
     /// the source's stream for good.
-    ///
-    /// Returns the number of arrivals buffered.
-    pub(super) fn batch_refill(&mut self, src: usize, barrier: SimTime, horizon: SimTime) -> usize {
+    pub(super) fn batch_refill(&mut self, src: usize, barrier: SimTime, horizon: SimTime) {
         let scale = self.scale;
-        let cap = self.burst_cap;
         let Some(buf) = self.bursts.get_mut(src) else {
             debug_assert!(false, "refill of unknown source {src}");
-            return 0;
+            return;
         };
         let Some(slot) = self.sources.get_mut(src) else {
             debug_assert!(false, "refill of unknown source {src}");
-            return 0;
+            return;
         };
         debug_assert_eq!(buf.head, buf.len, "refill with arrivals still pending");
         buf.head = 0;
         buf.len = 0;
         if buf.exhausted {
-            return 0;
+            return;
         }
         let mut force_first = true;
-        while (buf.len as usize) < cap && (force_first || buf.cursor < barrier) {
+        while (buf.len as usize) < MAX_BURST && (force_first || buf.cursor < barrier) {
             force_first = false;
-            let gap = slot.source.draw_gap(scale, &mut slot.rng);
+            let gap = slot.source.next_gap(scale, &mut slot.rng);
             let t = buf.cursor + gap;
             if t > horizon {
                 // Scalar draws this gap too, then never schedules the
@@ -347,7 +309,6 @@ impl IngestStage {
             buf.cursor = t;
             buf.len += 1;
         }
-        let drawn = buf.len as usize;
         let head_t = if buf.len > 0 {
             buf.times.first().copied().unwrap_or(SimTime::MAX)
         } else {
@@ -356,7 +317,6 @@ impl IngestStage {
         if let Some(h) = self.head_times.get_mut(src) {
             *h = head_t;
         }
-        drawn
     }
 
     /// True when `src`'s buffer is drained but its stream is not over —
@@ -367,23 +327,14 @@ impl IngestStage {
             .is_some_and(|b| b.head == b.len && !b.exhausted)
     }
 
-    /// The head arrival of `src`: `(time, emulated heap seq)`.
-    pub(super) fn batch_head(&self, src: usize) -> Option<(SimTime, u64)> {
-        let buf = self.bursts.get(src)?;
-        if buf.head < buf.len {
-            let t = buf.times.get(buf.head as usize).copied()?;
-            Some((t, buf.head_seq))
-        } else {
-            None
-        }
+    /// Whether `src` has a buffered arrival waiting.
+    pub(super) fn batch_has_head(&self, src: usize) -> bool {
+        self.bursts.get(src).is_some_and(|b| b.head < b.len)
     }
 
     /// Record the emulated heap sequence number of `src`'s head arrival
     /// (assigned by the engine at the scalar push point).
     pub(super) fn batch_set_head_seq(&mut self, src: usize, seq: u64) {
-        if let Some(buf) = self.bursts.get_mut(src) {
-            buf.head_seq = seq;
-        }
         if let Some(s) = self.head_seqs.get_mut(src) {
             *s = seq;
         }
@@ -451,6 +402,8 @@ impl IngestStage {
         };
         let (flow, flow_slot, size) = slot.source.resolve_record(rec, &mut self.interner);
         let service = slot.source.service;
+        // Frame-manager classification (Fig. 1): control-plane packets
+        // take the slow path and never enter the data-plane scheduler.
         if self.control_plane_fraction > 0.0
             && self.classifier_rng.gen::<f64>() < self.control_plane_fraction
         {

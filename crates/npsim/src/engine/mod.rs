@@ -40,15 +40,13 @@
 //! [`SimReport`]s either way (pinned by the golden-report fixture test).
 
 mod batch;
-mod clock;
-mod cycles;
 mod dispatch;
 mod ingest;
+mod pending;
 pub(crate) mod plan;
 mod record;
 mod service;
 
-pub use cycles::{CycleAccounting, CycleReport, CycleSink, Stage, StageCycles, STAGES};
 pub use plan::{ArrivalPlan, ScheduledPacket};
 
 use crate::event::SimEvent;
@@ -59,35 +57,13 @@ use crate::report::{SimReport, SyncStats};
 use crate::restore::RestorationBuffer;
 use crate::sched::{RepairOutcome, SchedEvent, Scheduler};
 use crate::source::SourceConfig;
-use detsim::{SeedSequence, SimTime};
+use detsim::{EventQueue, SeedSequence, SimTime};
 
-use clock::{Ev, EventSchedule};
 use dispatch::DispatchStage;
 use ingest::{Admission, IngestStage};
+use pending::{Ev, Pending};
 use record::RecordStage;
 use service::{EnqueueOutcome, ServiceStage};
-
-/// Which event-queue implementation drives the run loop.
-///
-/// Both structures implement the same deterministic contract — earliest
-/// time first, FIFO among equal `(time, seq)` — so the two backends
-/// produce **byte-identical reports** for the same configuration and
-/// seed (pinned by the workspace `backend_equivalence` property test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventBackend {
-    /// `detsim::EventQueue` — the O(log n) binary heap. The default:
-    /// the engine's pending-event set is tiny (≈ one finish event per
-    /// busy core plus one arrival per source), and at that size a
-    /// contiguous heap measurably outruns the wheel's slot machinery
-    /// (see DESIGN.md "Hot path & perf baseline" for the numbers).
-    #[default]
-    Heap,
-    /// `detsim::TimerWheel` — O(1)-amortized hierarchical timing wheel.
-    /// Wins when the pending set is large (thousands of timers); kept a
-    /// config knob away, with a byte-identical-report equivalence test,
-    /// so event-heavy scenarios can flip it with zero semantic risk.
-    Wheel,
-}
 
 /// How the run loop moves packets through the pipeline.
 ///
@@ -99,25 +75,17 @@ pub enum EventBackend {
 /// but performs every shared-state mutation at the same simulated
 /// instant, in the same order, as the scalar loop. See
 /// DESIGN.md "Batched execution".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// One event at a time through the central event queue — the
     /// reference implementation, and the automatic fallback whenever
-    /// fault machinery or the timer-wheel backend is configured.
+    /// fault machinery is configured.
     Scalar,
     /// Burst-oriented execution (the default): arrivals pre-drawn up to
-    /// `burst` per source, heap replaced by a merge over per-source
-    /// heads and per-core finish slots.
-    Batched {
-        /// Per-source lookahead depth, clamped to `1..=32`.
-        burst: u8,
-    },
-}
-
-impl Default for ExecutionMode {
-    fn default() -> Self {
-        ExecutionMode::Batched { burst: 32 }
-    }
+    /// a burst of 32 per source, heap replaced by a merge over
+    /// per-source heads and per-core finish slots.
+    #[default]
+    Batched,
 }
 
 /// Engine configuration.
@@ -153,10 +121,6 @@ pub struct EngineConfig {
     /// scheduler. The paper studies data-plane scheduling, so 0 by
     /// default.
     pub control_plane_fraction: f64,
-    /// Event-queue implementation behind the run loop (default: the
-    /// binary heap; the timer wheel is retained for event-heavy
-    /// scenarios and cross-checking).
-    pub event_backend: EventBackend,
     /// Deterministic fault script (crashes, heals, throttles, stalls,
     /// floods), delivered through the event queue. Empty by default:
     /// the fault machinery stays dormant and runs are byte-identical to
@@ -170,13 +134,6 @@ pub struct EngineConfig {
     /// wall-clock speed and exists so benchmarks and equivalence tests
     /// can pin the scalar reference loop.
     pub execution: ExecutionMode,
-    /// Pre-draw this many inter-arrival gaps and trace records per
-    /// Constant-rate source at construction time (0 = off, the default).
-    /// Reports are byte-identical either way; benchmarks use it to
-    /// measure the engine rather than the synthetic traffic model.
-    /// Ignored for Holt-Winters sources (their rate noise interleaves
-    /// with gap draws on the same stream).
-    pub prestage: usize,
 }
 
 impl Default for EngineConfig {
@@ -193,11 +150,9 @@ impl Default for EngineConfig {
             delay: nptraffic::DelayModel::default(),
             restoration: None,
             control_plane_fraction: 0.0,
-            event_backend: EventBackend::default(),
             faults: FaultPlan::new(),
             drop_policy: DropPolicy::default(),
             execution: ExecutionMode::default(),
-            prestage: 0,
         }
     }
 }
@@ -210,7 +165,6 @@ pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     dispatch: DispatchStage<S>,
     service: ServiceStage,
     record: RecordStage<P>,
-    events: EventSchedule,
     /// Reusable drain buffer for the scheduler's [`SchedEvent`] feed
     /// (taken/restored around the drain to avoid aliasing the stages).
     sched_ev_buf: Vec<SchedEvent>,
@@ -295,14 +249,13 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         let seq = SeedSequence::new(cfg.seed);
         let mut delay = cfg.delay;
         delay.scale = cfg.scale;
-        let mut ingest = IngestStage::new(
+        let ingest = IngestStage::new(
             &seq,
             sources,
             cfg.period_compression,
             cfg.scale,
             cfg.control_plane_fraction,
         );
-        ingest.prestage_all(cfg.prestage);
         let service = ServiceStage::new(
             cfg.n_cores,
             cfg.queue_capacity,
@@ -335,7 +288,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             dispatch,
             service,
             record: RecordStage::new(report, restoration, probes),
-            events: EventSchedule::new(cfg.event_backend, cfg.scale),
             sched_ev_buf: Vec::new(),
             faults_enabled,
             fstats: FaultStats::default(),
@@ -377,10 +329,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Read-only on the replica set — a packet the queue then
     /// drop-tails never ran on the core, so it must not dirty the
     /// flow's replica state or show up in the sync totals; those happen
-    /// in [`Engine::commit_sync`] once the packet is accepted. Both
-    /// halves are called from the identical points of both run loops,
-    /// so reports stay byte-identical across them. Only called when
-    /// `sync_enabled`.
+    /// in [`Engine::commit_sync`] once the packet is accepted. Only
+    /// called when `sync_enabled`.
     #[inline]
     fn stamp_sync(&mut self, pkt: &mut PacketDesc, target: usize) {
         let stale = self.dispatch.sync_stale(pkt.slot, target);
@@ -407,11 +357,15 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
 
     /// Pull the next queued packet into service on `core`, publishing
     /// `ServiceStart` and arming the finish timer.
-    fn start_processing(&mut self, core: usize, now: SimTime) {
+    fn start_processing<Q: Pending>(&mut self, core: usize, now: SimTime, q: &mut Q) {
         if let Some(started) = self.service.start_processing(core, now) {
             let generation = self.service.generation(core);
-            self.events
-                .push(now + started.duration, Ev::Finish(core, generation));
+            q.park_finish(core, now + started.duration, generation);
+            if Q::PREFETCH {
+                // The departure will read the order tracker's line for
+                // this flow one service time from now; start the fill.
+                self.record.prefetch_departure(started.slot);
+            }
             self.record.publish(
                 now,
                 &SimEvent::ServiceStart {
@@ -425,24 +379,21 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         }
     }
 
-    /// Schedule the next arrival from `src` if it lands in the horizon.
-    fn schedule_next_arrival(&mut self, src: usize, now: SimTime) {
-        let Some(gap) = self.ingest.next_gap(src) else {
-            return;
-        };
-        let next = now + gap;
-        if next <= self.cfg.duration {
-            self.events.push(next, Ev::Arrival(src));
+    /// Park the next arrival from `src` if it lands in the horizon, and
+    /// prefetch its flow-table line when the pending set knows its flow.
+    fn next_arrival<Q: Pending>(&mut self, src: usize, now: SimTime, q: &mut Q) {
+        if let Some(slot) = q.park_arrival(&mut self.ingest, src, now, self.cfg.duration) {
+            self.dispatch.prefetch_flow(slot);
         }
     }
 
-    fn on_arrival(&mut self, src: usize, now: SimTime) {
-        let header = match self.ingest.admit(src) {
+    fn on_arrival<Q: Pending>(&mut self, src: usize, now: SimTime, q: &mut Q) {
+        let header = match q.admit(&mut self.ingest, src) {
             Admission::Missing => return,
             Admission::SlowPath { service } => {
                 self.record
                     .publish(now, &SimEvent::DivertedSlowPath { service });
-                self.schedule_next_arrival(src, now);
+                self.next_arrival(src, now, q);
                 return;
             }
             Admission::FastPath(h) => h,
@@ -501,7 +452,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     );
                     self.record.note_drop_gap(pkt.slot, pkt.flow_seq, now);
                     self.sync_info(target);
-                    self.schedule_next_arrival(src, now);
+                    self.next_arrival(src, now, q);
                     return;
                 }
             }
@@ -585,7 +536,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     }
                 }
                 self.dispatch.set_last_core(pkt.slot, target);
-                self.start_processing(target, now);
+                self.start_processing(target, now, q);
             }
         }
         // The only core this arrival touched; bring its view entry up to
@@ -594,10 +545,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
 
         // Schedule the next arrival from this source, if still within the
         // horizon.
-        self.schedule_next_arrival(src, now);
+        self.next_arrival(src, now, q);
     }
 
-    fn on_finish(&mut self, core: usize, generation: u32, now: SimTime) {
+    fn on_finish<Q: Pending>(&mut self, core: usize, generation: u32, now: SimTime, q: &mut Q) {
         // A crash between arming and firing bumps the core's finish
         // generation: the packet this event was armed for has already
         // been accounted as a fault drop, so the stale event is simply
@@ -625,12 +576,12 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             );
         }
         self.record.departure(pkt, now);
-        self.start_processing(core, now);
+        self.start_processing(core, now, q);
         self.sync_info(core);
     }
 
-    /// Apply the fault-plan entry at `idx`.
-    fn on_fault(&mut self, idx: usize, now: SimTime) {
+    /// Apply the fault-plan entry at `idx` (scalar loop only).
+    fn on_fault(&mut self, idx: usize, now: SimTime, q: &mut EventQueue<Ev>) {
         let Some(&(_, action)) = self.cfg.faults.get(idx) else {
             debug_assert!(false, "fault event for unknown plan entry {idx}");
             return;
@@ -676,7 +627,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     RepairOutcome::Repaired => self.fstats.repairs += 1,
                     RepairOutcome::Unrepaired => self.fstats.unrepaired += 1,
                 }
-                self.start_processing(core, now);
+                self.start_processing(core, now, q);
                 self.sync_info(core);
             }
             FaultAction::Throttle { core, factor } => {
@@ -684,8 +635,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
             FaultAction::Stall { core, duration } => {
                 if self.service.is_up(core) {
-                    self.service.stall(core);
-                    self.events.push(now + duration, Ev::StallEnd(core));
+                    self.service.stall(core, now + duration);
+                    q.push(now + duration, Ev::StallEnd(core));
                 }
             }
             FaultAction::Flood { source, factor } => {
@@ -697,21 +648,23 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         }
     }
 
-    /// A transient stall ended: resume service on `core`.
-    fn on_stall_end(&mut self, core: usize, now: SimTime) {
-        self.service.resume(core);
-        self.start_processing(core, now);
-        self.sync_info(core);
+    /// A transient stall ended: resume service on `core`, unless an
+    /// overlapping stall holds it longer.
+    fn on_stall_end(&mut self, core: usize, now: SimTime, q: &mut EventQueue<Ev>) {
+        if self.service.resume(core, now) {
+            self.start_processing(core, now, q);
+            self.sync_info(core);
+        }
     }
 
-    fn on_rate_update(&mut self, now: SimTime) {
+    fn on_rate_update<Q: Pending>(&mut self, now: SimTime, q: &mut Q) {
         self.ingest.refresh_rates(now);
         if P::ACTIVE {
             self.record.publish(now, &SimEvent::EpochTick);
         }
         let next = now + self.cfg.rate_update_interval;
         if next <= self.cfg.duration {
-            self.events.push(next, Ev::RateUpdate);
+            q.park_rate_update(next);
         }
     }
 
@@ -775,44 +728,26 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// the probe host (with everything the probes accumulated).
     pub fn run_full(mut self) -> (SimReport, S, P) {
         let last_t = if self.batch_eligible() {
-            self.run_batched(&mut ())
+            self.run_batched()
         } else {
             self.run_scalar()
         };
         self.finish(last_t)
     }
 
-    /// Run to completion with per-stage cycle accounting (see
-    /// [`CycleReport`]). Accounting spans exist only in the batched
-    /// loop: a configuration that falls back to scalar execution (fault
-    /// plans, the timer-wheel backend, `ExecutionMode::Scalar`) returns
-    /// an empty report. The accounting reads the host clock but feeds
-    /// nothing back into the simulation, so the [`SimReport`] is
-    /// byte-identical with accounting on or off.
-    pub fn run_with_cycles(mut self) -> (SimReport, CycleReport) {
-        if self.batch_eligible() {
-            let mut acc = CycleAccounting::new();
-            let last_t = self.run_batched(&mut acc);
-            (self.finish(last_t).0, acc.finish())
-        } else {
-            let last_t = self.run_scalar();
-            (self.finish(last_t).0, CycleReport::empty())
-        }
-    }
-
     /// The scalar run loop: one heap pop per event. The reference
-    /// implementation, and the only loop supporting fault plans and the
-    /// timer-wheel backend. Returns the time of the last event.
+    /// implementation, and the only loop supporting fault plans.
+    /// Returns the time of the last event.
     fn run_scalar(&mut self) -> SimTime {
+        let mut events: EventQueue<Ev> = EventQueue::with_capacity(1024);
         // Prime arrivals and the rate-update ticker.
         for (i, gap) in self.ingest.prime_gaps() {
             if gap <= self.cfg.duration {
-                self.events.push(gap, Ev::Arrival(i));
+                events.push(gap, Ev::Arrival(i));
             }
         }
         if self.cfg.rate_update_interval <= self.cfg.duration {
-            self.events
-                .push(self.cfg.rate_update_interval, Ev::RateUpdate);
+            events.park_rate_update(self.cfg.rate_update_interval);
         }
         // Prime the fault plan: one event per entry, in plan order, so
         // same-instant entries fire in insertion order (the queue breaks
@@ -820,22 +755,22 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         // still fire — a heal may legitimately land during the drain.
         for i in 0..self.cfg.faults.len() {
             if let Some(&(at, _)) = self.cfg.faults.get(i) {
-                self.events.push(at, Ev::Fault(i));
+                events.push(at, Ev::Fault(i));
             }
         }
 
         let mut last_t = SimTime::ZERO;
-        while let Some((t, ev)) = self.events.pop() {
+        while let Some((t, ev)) = events.pop() {
             #[cfg(feature = "invariants")]
             self.check_invariants(t, last_t);
             last_t = t;
             self.record.note_loop_event();
             match ev {
-                Ev::Arrival(src) => self.on_arrival(src, t),
-                Ev::Finish(core, generation) => self.on_finish(core, generation, t),
-                Ev::RateUpdate => self.on_rate_update(t),
-                Ev::Fault(idx) => self.on_fault(idx, t),
-                Ev::StallEnd(core) => self.on_stall_end(core, t),
+                Ev::Arrival(src) => self.on_arrival(src, t, &mut events),
+                Ev::Finish(core, generation) => self.on_finish(core, generation, t, &mut events),
+                Ev::RateUpdate => self.on_rate_update(t, &mut events),
+                Ev::Fault(idx) => self.on_fault(idx, t, &mut events),
+                Ev::StallEnd(core) => self.on_stall_end(core, t, &mut events),
             }
             #[cfg(feature = "invariants")]
             self.check_invariants(t, last_t);
@@ -1283,6 +1218,25 @@ mod tests {
         assert_eq!(r.offered, r.accounted());
         let base = Engine::new(quick_cfg(1, 10), &one_source(1.0), JoinShortestQueue::new()).run();
         assert_eq!(base.dropped, 0, "same load without the stall is clean");
+    }
+
+    #[test]
+    fn overlapping_stalls_hold_until_the_latest_end() {
+        // [2, 7) and [3, 13) on one core stall it over [2, 13): the
+        // first stall's end must not resume the core early.
+        let ms = SimTime::from_millis;
+        let run = |faults: FaultPlan| {
+            let mut cfg = quick_cfg(1, 20);
+            cfg.faults = faults;
+            Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new()).run()
+        };
+        let overlapping = run(FaultPlan::new()
+            .stall(ms(2), 0, ms(5))
+            .stall(ms(3), 0, ms(10)));
+        let single = run(FaultPlan::new().stall(ms(2), 0, ms(11)));
+        assert!(single.dropped > 0);
+        assert_eq!(overlapping.dropped, single.dropped);
+        assert_eq!(overlapping.offered, overlapping.accounted());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! corresponding bus events and schedules the finish timer.
 //!
 //! Fault support: each core carries an `up` flag, a service-duration
-//! multiplier (throttle), a stall latch, and a finish generation. A
+//! multiplier (throttle), a stall deadline, and a finish generation. A
 //! crash drains the core's backlog (returned to the orchestrator for
 //! drop accounting), refunds the unearned remainder of its in-service
 //! busy credit, and bumps the generation so the stale finish timer is
@@ -37,8 +37,9 @@ struct Core {
     /// Alive? `false` between a fault-plan crash and the matching heal.
     up: bool,
     /// Transient stall: the core finishes its current packet but starts
-    /// no new service until the stall-end event clears this.
-    stalled: bool,
+    /// no new service until this time — the latest end among
+    /// overlapping stalls. `None` when not stalled.
+    stalled_until: Option<SimTime>,
     /// Service-duration multiplier (throttle); 1.0 at full speed.
     speed: f64,
     /// Incremented on every crash; finish events carry the generation
@@ -102,7 +103,7 @@ impl ServiceStage {
                 last_congested: SimTime::ZERO,
                 busy_ns: 0,
                 up: true,
-                stalled: false,
+                stalled_until: None,
                 speed: 1.0,
                 generation: 0,
             })
@@ -203,7 +204,7 @@ impl ServiceStage {
             debug_assert!(false, "start_processing on unknown core {core}");
             return None;
         };
-        if slot.current.is_some() || !slot.up || slot.stalled {
+        if slot.current.is_some() || !slot.up || slot.stalled_until.is_some() {
             return None;
         }
         let Some(pkt) = slot.queue.pop() else {
@@ -290,7 +291,7 @@ impl ServiceStage {
             return Vec::new();
         }
         slot.up = false;
-        slot.stalled = false;
+        slot.stalled_until = None;
         slot.speed = 1.0;
         slot.generation = slot.generation.wrapping_add(1);
         slot.idle_since = None;
@@ -325,7 +326,7 @@ impl ServiceStage {
         slot.up = true;
         slot.idle_since = Some(now);
         slot.speed = 1.0;
-        slot.stalled = false;
+        slot.stalled_until = None;
         true
     }
 
@@ -339,21 +340,29 @@ impl ServiceStage {
         }
     }
 
-    /// Latch a transient stall on `core`: its current packet completes,
-    /// but no new service starts until [`ServiceStage::resume`].
-    pub(super) fn stall(&mut self, core: usize) {
+    /// Stall `core` until `until`: its current packet completes, but no
+    /// new service starts until [`ServiceStage::resume`] at or after
+    /// `until`. An overlapping stall extends the deadline, never cuts
+    /// it short.
+    pub(super) fn stall(&mut self, core: usize, until: SimTime) {
         if let Some(slot) = self.cores.get_mut(core) {
             if slot.up {
-                slot.stalled = true;
+                slot.stalled_until = Some(slot.stalled_until.map_or(until, |u| u.max(until)));
             }
         }
     }
 
-    /// Clear a transient stall on `core`.
-    pub(super) fn resume(&mut self, core: usize) {
-        if let Some(slot) = self.cores.get_mut(core) {
-            slot.stalled = false;
+    /// A stall on `core` ended at `now`: clear it unless an overlapping
+    /// stall runs past `now`. Returns whether the core may serve again.
+    pub(super) fn resume(&mut self, core: usize, now: SimTime) -> bool {
+        let Some(slot) = self.cores.get_mut(core) else {
+            return false;
+        };
+        if slot.stalled_until.is_some_and(|until| until > now) {
+            return false;
         }
+        slot.stalled_until = None;
+        true
     }
 
     /// A fresh [`QueueInfo`] snapshot of `core`'s state. `len` counts

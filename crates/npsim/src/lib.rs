@@ -47,10 +47,7 @@ pub mod restore;
 pub mod sched;
 pub mod source;
 
-pub use engine::{
-    ArrivalPlan, CycleReport, Engine, EngineConfig, EventBackend, ExecutionMode, ScheduledPacket,
-    Stage, StageCycles,
-};
+pub use engine::{ArrivalPlan, Engine, EngineConfig, ExecutionMode, ScheduledPacket};
 pub use event::SimEvent;
 pub use exec::{DetsimBackend, ExecBackend, ExecError, UnsupportedPlan};
 pub use fault::{DropPolicy, FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};

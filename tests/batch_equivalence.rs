@@ -1,11 +1,14 @@
 //! The batched burst-of-32 run loop is an *execution* optimization, not
-//! a semantic one: for every scheduling policy, any burst size, and any
-//! source mix, its report must be byte-for-byte the scalar loop's
-//! report. The batched loop emulates the scalar heap's insertion
-//! sequence at exactly the scalar push points, so the `(time, seq)`
-//! total order — and with it every reorder count, migration, drop, and
-//! latency stat — is identical. This is the contract that lets
-//! `ExecutionMode::Batched` be the default.
+//! a semantic one: for every scheduling policy and any source mix, its
+//! report must be byte-for-byte the scalar loop's report. Both loops
+//! call the same event handlers; they differ in how the next event is
+//! found (heap pop vs. three-way merge) and in when arrival gaps and
+//! headers are drawn (at fire time vs. a lookahead ring). The batched
+//! loop allocates the heap's insertion sequence at exactly the scalar
+//! push points, so the `(time, seq)` total order — and with it every
+//! reorder count, migration, drop, and latency stat — is identical.
+//! This is the contract that lets `ExecutionMode::Batched` be the
+//! default.
 
 use laps_repro::npsim::ExecutionMode;
 use laps_repro::prelude::*;
@@ -31,14 +34,10 @@ const POLICIES: [&str; 13] = [
     "scr-sync16",
 ];
 
-/// The burst sizes under test: degenerate (1), odd (7), full (32).
-const BURSTS: [u8; 3] = [1, 7, 32];
-
 #[allow(clippy::too_many_arguments)] // flat scenario knobs; a config struct would just restate them
 fn run(
     policy: &str,
     execution: ExecutionMode,
-    prestage: usize,
     preset: u8,
     seed: u64,
     duration_ms: u64,
@@ -59,7 +58,6 @@ fn run(
         .seed(seed)
         .configure(|cfg| {
             cfg.execution = execution;
-            cfg.prestage = prestage;
             // Price the SCR sync model so the scr-* policies exercise it;
             // dormant for every policy without a sync_policy().
             cfg.delay.sync_cost_us = 0.5;
@@ -73,12 +71,11 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random policy, preset, seed, horizon, scale, burst size, and
-    /// source fan-in: the batched report is byte-identical to scalar.
+    /// Random policy, preset, seed, horizon, scale, and source fan-in:
+    /// the batched report is byte-identical to scalar.
     #[test]
     fn batched_report_is_byte_identical_to_scalar(
         policy_i in 0usize..POLICIES.len(),
-        burst_i in 0usize..BURSTS.len(),
         preset in 1u8..7,
         seed in 0u64..1_000,
         duration_ms in 1u64..6,
@@ -86,20 +83,10 @@ proptest! {
         n_sources in 1usize..4,
     ) {
         let policy = POLICIES[policy_i];
-        let burst = BURSTS[burst_i];
         let scale = scale_i as f64;
-        let scalar = run(policy, ExecutionMode::Scalar, 0, preset, seed, duration_ms, scale, n_sources);
-        let batched = run(
-            policy,
-            ExecutionMode::Batched { burst },
-            0,
-            preset,
-            seed,
-            duration_ms,
-            scale,
-            n_sources,
-        );
-        prop_assert_eq!(scalar, batched, "policy={} burst={}", policy, burst);
+        let scalar = run(policy, ExecutionMode::Scalar, preset, seed, duration_ms, scale, n_sources);
+        let batched = run(policy, ExecutionMode::Batched, preset, seed, duration_ms, scale, n_sources);
+        prop_assert_eq!(scalar, batched, "policy={}", policy);
     }
 }
 
@@ -108,8 +95,8 @@ proptest! {
 #[test]
 fn every_policy_matches_at_default_burst() {
     for policy in POLICIES {
-        let scalar = run(policy, ExecutionMode::Scalar, 0, 2, 7, 3, 10.0, 2);
-        let batched = run(policy, ExecutionMode::default(), 0, 2, 7, 3, 10.0, 2);
+        let scalar = run(policy, ExecutionMode::Scalar, 2, 7, 3, 10.0, 2);
+        let batched = run(policy, ExecutionMode::Batched, 2, 7, 3, 10.0, 2);
         assert_eq!(scalar, batched, "policy={policy}");
     }
 }
@@ -120,35 +107,11 @@ fn every_policy_matches_at_default_burst() {
 /// scalar loop does, then never touches the source again).
 #[test]
 fn partial_bursts_at_source_exhaustion() {
-    for burst in BURSTS {
-        for n_sources in [1usize, 3] {
-            // ~8 packets/ms shared across sources over 1 ms: a handful
-            // of arrivals per source, nowhere near a full burst of 32.
-            let scalar = run("fcfs", ExecutionMode::Scalar, 0, 1, 99, 1, 40.0, n_sources);
-            let batched = run(
-                "fcfs",
-                ExecutionMode::Batched { burst },
-                0,
-                1,
-                99,
-                1,
-                40.0,
-                n_sources,
-            );
-            assert_eq!(scalar, batched, "burst={burst} n_sources={n_sources}");
-        }
-    }
-}
-
-/// Construction-time prestaging (pre-drawing gap/record pairs outside
-/// the timed region) must be invisible to replay in both execution
-/// modes: the pre-drawn values come from the same private RNG streams
-/// in the same order.
-#[test]
-fn prestage_is_invisible_in_both_modes() {
-    for execution in [ExecutionMode::Scalar, ExecutionMode::default()] {
-        let plain = run("laps", execution, 0, 3, 11, 4, 20.0, 2);
-        let staged = run("laps", execution, 50_000, 3, 11, 4, 20.0, 2);
-        assert_eq!(plain, staged, "execution={execution:?}");
+    for n_sources in [1usize, 3] {
+        // ~8 packets/ms shared across sources over 1 ms: a handful of
+        // arrivals per source, nowhere near a full burst of 32.
+        let scalar = run("fcfs", ExecutionMode::Scalar, 1, 99, 1, 40.0, n_sources);
+        let batched = run("fcfs", ExecutionMode::Batched, 1, 99, 1, 40.0, n_sources);
+        assert_eq!(scalar, batched, "n_sources={n_sources}");
     }
 }
