@@ -86,18 +86,21 @@ const HOT_PATH_PREFIXES: &[&str] = &[
 ];
 
 /// The only places allowed to read wall clocks or OS entropy: the
-/// benchmark harness, its criterion shim, and the explicit
-/// wall-clock-timing experiment binary. The npfarm sweep orchestrator
-/// is *not* exempted as a crate — its two telemetry call sites (cell
-/// timing recorded in the per-cell JSONL, excluded from every result
-/// payload and cache key) carry per-line allow comments instead, so
-/// any new wall-clock read there has to justify itself. The npexec
+/// benchmark harnesses (`crates/bench/` and the repository benchmark
+/// under `benchmark/`, whose job is timing the code it drives), the
+/// criterion shim, and the explicit wall-clock-timing experiment
+/// binary. The npfarm sweep orchestrator is *not* exempted as a crate
+/// — its two telemetry call sites (cell timing recorded in the
+/// per-cell JSONL, excluded from every result payload and cache key)
+/// carry per-line allow comments instead, so any new wall-clock read
+/// there has to justify itself. The npexec
 /// backend's lib.rs is exempt because wall-clock throughput is the
 /// quantity it exists to produce (its report counters still come from
 /// the deterministic arrival plan) — but only lib.rs: the worker and
 /// dispatcher loops must not read clocks, so they stay scoped.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
     "crates/bench/",
+    "benchmark/",
     "crates/shims/criterion/",
     "crates/experiments/src/bin/timing.rs",
     "crates/npexec/src/lib.rs",
@@ -1240,6 +1243,15 @@ mod tests {
         assert_eq!(f.len(), 4, "{f:?}");
         assert!(scan_source("crates/bench/benches/x.rs", src).is_empty());
         assert!(scan_source("crates/experiments/src/bin/timing.rs", src).is_empty());
+    }
+
+    #[test]
+    fn repository_benchmark_is_wall_clock_exempt() {
+        let src = "fn f() { let t = Instant::now(); }\n";
+        assert!(scan_source("benchmark/src/x.rs", src).is_empty());
+        let f = scan_source("crates/npsim/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == "wall-clock"));
     }
 
     #[test]

@@ -70,9 +70,10 @@ pub struct TrafficSource {
 const UNINTERNED: u32 = u32::MAX;
 
 impl TrafficSource {
-    /// Instantiate from configuration. `trace_len` bounds the streaming
-    /// generator's internal state (headers repeat after the underlying
-    /// model cycles, mirroring the paper's trace replay).
+    /// Instantiate from configuration. The header generator reads its
+    /// preset's Zipf and size tables, built once per process and shared
+    /// by every source of that preset (see [`TracePreset::generator`]);
+    /// only its per-run state is new.
     pub fn new(cfg: &SourceConfig) -> Self {
         // Streaming generator; the length hint is irrelevant for
         // streaming use.

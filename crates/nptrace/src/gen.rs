@@ -11,6 +11,7 @@ use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Generator parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,6 +66,42 @@ impl TraceConfig {
     }
 }
 
+/// The part of a generator fixed by its popularity and size parameters
+/// and its seed: the Zipf table, each rank's size profile, and the RNG
+/// state right after the profiles were drawn. Immutable once built, so
+/// every generator of one preset can share one copy (see
+/// [`crate::TracePreset::generator`]).
+#[derive(Debug)]
+pub(crate) struct TraceTables {
+    zipf: ZipfSampler,
+    /// Per-rank size personality (inherited by replacement flows).
+    profiles: Vec<SizeProfile>,
+    /// The generator RNG after profile assignment: each run starts its
+    /// packet draws from a clone of it.
+    rng: StdRng,
+}
+
+impl TraceTables {
+    /// Build the tables for `config`'s `n_flows`, Zipf shape and size
+    /// model under `seed`. No other config field is read.
+    pub(crate) fn build(config: &TraceConfig, seed: u64) -> Self {
+        let zipf = ZipfSampler::shifted(
+            config.n_flows as usize,
+            config.zipf_exponent,
+            config.head_offset,
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let profiles = (0..config.n_flows)
+            .map(|rank| config.size_model.assign(rank, &mut rng))
+            .collect();
+        TraceTables {
+            zipf,
+            profiles,
+            rng,
+        }
+    }
+}
+
 /// Streaming trace generator.
 ///
 /// Can either materialize a whole [`Trace`] with [`TraceGenerator::generate`]
@@ -73,9 +110,8 @@ impl TraceConfig {
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     config: TraceConfig,
-    zipf: ZipfSampler,
-    /// Per-rank size personality (inherited by replacement flows).
-    profiles: Vec<SizeProfile>,
+    /// Shared, read-only: only the per-run state below is mutated.
+    tables: Arc<TraceTables>,
     /// Current flow identity of each popularity rank (churns for mice).
     flow_map: Vec<u32>,
     next_flow: u32,
@@ -88,32 +124,35 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Build a generator for `config`, seeded with `seed`.
     pub fn new(config: TraceConfig, seed: u64) -> Self {
-        let zipf = ZipfSampler::shifted(
-            config.n_flows as usize,
-            config.zipf_exponent,
-            config.head_offset,
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let profiles = (0..config.n_flows)
-            .map(|rank| config.size_model.assign(rank, &mut rng))
-            .collect();
-        let flow_map: Vec<u32> = (0..config.n_flows).collect();
-        let next_flow = config.n_flows;
+        let tables = Arc::new(TraceTables::build(&config, seed));
+        Self::from_tables(config, tables)
+    }
+
+    /// Fresh per-run state over `tables`, which must have been built
+    /// from a config with the same `n_flows`, Zipf shape and size model
+    /// as `config`.
+    pub(crate) fn from_tables(config: TraceConfig, tables: Arc<TraceTables>) -> Self {
+        debug_assert_eq!(tables.zipf.len(), config.n_flows as usize);
         TraceGenerator {
+            flow_map: (0..config.n_flows).collect(),
+            next_flow: config.n_flows,
+            rng: tables.rng.clone(),
             config,
-            zipf,
-            profiles,
-            flow_map,
-            next_flow,
-            rng,
+            tables,
             active: Vec::new(),
             emitted: 0,
         }
     }
 
+    /// Whether `self` and `other` read the same shared tables.
+    #[cfg(test)]
+    pub(crate) fn shares_tables_with(&self, other: &TraceGenerator) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
     /// Draw a fresh activation: a rank and a geometric burst length.
     fn new_activation(&mut self) -> (u32, u32) {
-        let rank = self.zipf.sample(&mut self.rng) as u32;
+        let rank = self.tables.zipf.sample(&mut self.rng) as u32;
         let p = (1.0 / self.config.mean_burst.max(1.0)).clamp(1e-6, 1.0);
         let mut len = 1u32;
         while self.rng.gen::<f64>() > p && len < 1_000 {
@@ -149,7 +188,7 @@ impl TraceGenerator {
         let (rank, remaining) = self.active[slot];
         self.emitted += 1;
         let flow = self.flow_map[rank as usize];
-        let size = self.profiles[rank as usize].sample(&mut self.rng);
+        let size = self.tables.profiles[rank as usize].sample(&mut self.rng);
         if remaining > 1 {
             self.active[slot].1 = remaining - 1;
         } else {

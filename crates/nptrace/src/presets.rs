@@ -15,10 +15,15 @@
 //! Distinct presets of a family differ by seed and mild parameter jitter,
 //! like distinct capture windows of the same link.
 
-use crate::gen::{TraceConfig, TraceGenerator};
+use crate::gen::{TraceConfig, TraceGenerator, TraceTables};
 use crate::packet::Trace;
 use crate::sizes::SizeModel;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+
+/// Each named preset's generator tables, built on first use: slots
+/// `0..6` hold `caida1..6`, slots `6..14` hold `auck1..8`.
+static PRESET_TABLES: [OnceLock<Arc<TraceTables>>; 14] = [const { OnceLock::new() }; 14];
 
 /// The fourteen named traces used across the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -134,14 +139,44 @@ impl TracePreset {
     }
 
     /// A streaming generator for this preset (for long simulations).
+    ///
+    /// Its packet stream is the one `TraceGenerator::new(self.config(n),
+    /// self.seed())` yields, but the Zipf table, the per-rank size
+    /// profiles and the post-profile RNG state are built once per process
+    /// and shared by every generator of the preset; each call gets fresh
+    /// per-run state (flow map, active bursts, an RNG clone). Sharing is
+    /// sound because those tables depend only on the preset: its own
+    /// fixed seed and its flow-count, Zipf and size parameters, never on
+    /// `n_packets` or an engine seed. The memo holds at most the 14 named
+    /// presets' tables, about 13 bytes per rank over 344k ranks (~4.5 MB),
+    /// whatever the number or length of runs.
     pub fn generator(&self, n_packets: usize) -> TraceGenerator {
-        TraceGenerator::new(self.config(n_packets), self.seed())
+        let config = self.config(n_packets);
+        match self.table_slot().and_then(|i| PRESET_TABLES.get(i)) {
+            Some(slot) => {
+                let tables =
+                    slot.get_or_init(|| Arc::new(TraceTables::build(&config, self.seed())));
+                TraceGenerator::from_tables(config, Arc::clone(tables))
+            }
+            // A variant outside the 14 named traces is built unshared.
+            None => TraceGenerator::new(config, self.seed()),
+        }
+    }
+
+    /// This preset's slot in [`PRESET_TABLES`].
+    fn table_slot(&self) -> Option<usize> {
+        match *self {
+            TracePreset::Caida(n @ 1..=6) => Some(usize::from(n) - 1),
+            TracePreset::Auckland(n @ 1..=8) => Some(usize::from(n) + 5),
+            _ => None,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketRecord;
 
     #[test]
     fn names_roundtrip() {
@@ -172,6 +207,62 @@ mod tests {
         assert_ne!(a1.packets, b.packets);
         // Different flow_space → disjoint flow IDs.
         assert_ne!(a1.flow_id_of(0), b.flow_id_of(0));
+    }
+
+    fn all_presets() -> impl Iterator<Item = TracePreset> {
+        TracePreset::all_caida()
+            .into_iter()
+            .chain(TracePreset::all_auckland())
+    }
+
+    #[test]
+    fn shared_tables_replay_a_fresh_generator() {
+        // 200k packets reach mouse churn and every burst path, and the
+        // first draws test the hand-off of the post-profile RNG state.
+        const N: usize = 200_000;
+        for p in all_presets() {
+            let mut shared = p.generator(N);
+            let mut fresh = TraceGenerator::new(p.config(N), p.seed());
+            for i in 0..N {
+                assert_eq!(
+                    shared.next_packet(),
+                    fresh.next_packet(),
+                    "{p:?} packet {i}"
+                );
+            }
+            assert_eq!(shared.emitted(), N);
+            assert_eq!(fresh.emitted(), N);
+        }
+    }
+
+    #[test]
+    fn generators_of_one_preset_share_tables_but_not_state() {
+        for p in all_presets() {
+            let mut a = p.generator(0);
+            let mut b = p.generator(0);
+            assert!(a.shares_tables_with(&b), "{p:?}");
+            let mut reference = TraceGenerator::new(p.config(0), p.seed());
+            let expected: Vec<PacketRecord> = (0..5_000).map(|_| reference.next_packet()).collect();
+            // Drawing from `a` first must not move `b`'s stream.
+            let from_a: Vec<PacketRecord> = (0..5_000).map(|_| a.next_packet()).collect();
+            let from_b: Vec<PacketRecord> = (0..5_000).map(|_| b.next_packet()).collect();
+            assert_eq!(from_a, expected, "{p:?}");
+            assert_eq!(from_b, expected, "{p:?}");
+        }
+        assert!(!TracePreset::Caida(1)
+            .generator(0)
+            .shares_tables_with(&TracePreset::Caida(2).generator(0)));
+    }
+
+    #[test]
+    fn unnamed_variant_builds_unshared() {
+        let p = TracePreset::Caida(9);
+        let mut a = p.generator(0);
+        let mut fresh = TraceGenerator::new(p.config(0), p.seed());
+        assert!(!a.shares_tables_with(&p.generator(0)));
+        for _ in 0..1_000 {
+            assert_eq!(a.next_packet(), fresh.next_packet());
+        }
     }
 
     #[test]
