@@ -88,10 +88,10 @@ pub mod prelude {
     pub use detsim::SimTime;
     pub use npafd::AfdConfig;
     pub use npsim::{
-        DropPolicy, Engine, EngineConfig, EventLogProbe, ExecError, ExecutionMode, FaultAction,
-        FaultPlan, FaultProbe, FaultStats, MetricsProbe, Probe, ProbeStack, RateSpec,
-        RepairOutcome, Scheduler, SimEvent, SimReport, SourceConfig, SyncPolicy, SyncStats,
-        UnsupportedPlan, UtilizationProbe,
+        DropPolicy, Engine, EngineConfig, EventLogProbe, ExecError, FaultAction, FaultPlan,
+        FaultProbe, FaultStats, MetricsProbe, Probe, ProbeStack, RateSpec, RepairOutcome,
+        Scheduler, SimEvent, SimReport, SourceConfig, SyncPolicy, SyncStats, UnsupportedPlan,
+        UtilizationProbe,
     };
     pub use nptrace::TracePreset;
     pub use nptraffic::{ParameterSet, Scenario, ServiceKind, TraceGroup};

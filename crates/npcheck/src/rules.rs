@@ -86,9 +86,8 @@ const HOT_PATH_PREFIXES: &[&str] = &[
 ];
 
 /// The only places allowed to read wall clocks or OS entropy: the
-/// benchmark harnesses (`crates/bench/` and the repository benchmark
-/// under `benchmark/`, whose job is timing the code it drives), the
-/// criterion shim, and the explicit wall-clock-timing experiment
+/// repository benchmark under `benchmark/` (whose job is timing the
+/// code it drives) and the explicit wall-clock-timing experiment
 /// binary. The npfarm sweep orchestrator is *not* exempted as a crate
 /// — its two telemetry call sites (cell timing recorded in the
 /// per-cell JSONL, excluded from every result payload and cache key)
@@ -99,9 +98,7 @@ const HOT_PATH_PREFIXES: &[&str] = &[
 /// the deterministic arrival plan) — but only lib.rs: the worker and
 /// dispatcher loops must not read clocks, so they stay scoped.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
-    "crates/bench/",
     "benchmark/",
-    "crates/shims/criterion/",
     "crates/experiments/src/bin/timing.rs",
     "crates/npexec/src/lib.rs",
 ];
@@ -1226,6 +1223,10 @@ fn check_lock_order(files: &[(&str, &LexedFile)], findings: &mut Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
+    use super::{
+        HOT_PATH_PREFIXES, QUEUE_SCOPE_PREFIXES, SIM_CRATE_PREFIXES, THREAD_SHARED_PREFIXES,
+        WALL_CLOCK_EXEMPT,
+    };
     use crate::scan_source;
 
     #[test]
@@ -1241,7 +1242,6 @@ mod tests {
         let src = "let t = Instant::now();\nlet s = SystemTime::now();\nlet r = thread_rng();\nlet x: u8 = rand::random();\n";
         let f = scan_source("crates/detsim/src/time.rs", src);
         assert_eq!(f.len(), 4, "{f:?}");
-        assert!(scan_source("crates/bench/benches/x.rs", src).is_empty());
         assert!(scan_source("crates/experiments/src/bin/timing.rs", src).is_empty());
     }
 
@@ -1252,6 +1252,28 @@ mod tests {
         let f = scan_source("crates/npsim/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "wall-clock"));
+    }
+
+    /// Every scope entry names a file or directory that exists, so an
+    /// exemption or scope cannot outlive the code it was written for.
+    #[test]
+    fn every_scope_prefix_names_an_existing_path() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let tables = [
+            ("SIM_CRATE_PREFIXES", SIM_CRATE_PREFIXES),
+            ("HOT_PATH_PREFIXES", HOT_PATH_PREFIXES),
+            ("WALL_CLOCK_EXEMPT", WALL_CLOCK_EXEMPT),
+            ("THREAD_SHARED_PREFIXES", THREAD_SHARED_PREFIXES),
+            ("QUEUE_SCOPE_PREFIXES", QUEUE_SCOPE_PREFIXES),
+        ];
+        for (table, prefixes) in tables {
+            for prefix in prefixes {
+                assert!(
+                    root.join(prefix).exists(),
+                    "{table} entry {prefix:?} names no path under the workspace root"
+                );
+            }
+        }
     }
 
     #[test]

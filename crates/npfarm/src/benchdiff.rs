@@ -1,80 +1,29 @@
-//! Bench-baseline schema and the regression gate.
+//! Host fingerprint for performance measurements.
 //!
-//! The tracked baseline file (`BENCH_PR7.json` at the repo root) maps
-//! bench name → metrics:
-//!
-//! ```json
-//! {"hotpath": {"packets_per_sec": 6699420, "events_per_sec": ..., "wall_ms": ...}}
-//! ```
-//!
-//! plus an optional reserved `"host"` block ([`HostFingerprint`]:
-//! cpu model, core count, rustc version) written by
-//! `laps-bench --emit-baseline`. When the baseline and the fresh run
-//! carry *different* fingerprints, the two runs provably came from
-//! different machines, so per-metric regressions are downgraded to
-//! warnings — the diff exits clean with a prominent note instead of
-//! vetoing a PR for running on slower hardware. Matching, absent, or
-//! one-sided fingerprints leave the gate fully armed, and a vanished
-//! bench row fails in every case.
-//!
-//! [`compare`] diffs a freshly measured file against the committed
-//! baseline with per-metric relative tolerances and classifies each
-//! delta. Throughput metrics (`packets_per_sec`, `events_per_sec`,
-//! higher-is-better) are *gated*: falling below `baseline × (1 − tol)`
-//! fails the report. `wall_ms` is reported but never gated — the gate
-//! must work when the fresh run uses a shorter duration (CI `--short`)
-//! than the baseline did, which changes absolute wall time but not
-//! sustained throughput.
-//!
-//! Tolerances are deliberately generous in CI (see `.github/workflows/
-//! ci.yml` and DESIGN.md "Sweep orchestration & perf gating"): shared
-//! runners are noisy and differ from the baseline machine, so the gate
-//! is tuned to catch *structural* regressions (an accidental O(n²), a
-//! lost inline, debug assertions in release) rather than percent-level
-//! drift. The committed baseline still records exact numbers, so the
-//! percent-level trajectory is visible PR over PR even though only
-//! large drops fail.
+//! The repository benchmark (`benchmark/`) prints a [`HostFingerprint`]
+//! next to every result, so a reader can tell which machine produced a
+//! number before comparing it with another. The module keeps its name
+//! because the benchmark imports `npfarm::benchdiff::HostFingerprint`.
 
-use serde::Value;
-use std::fmt::Write as _;
-
-/// Metrics of one bench row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchMetrics {
-    /// Sustained packets per second (gated, higher is better).
-    pub packets_per_sec: f64,
-    /// Events dispatched per second (gated, higher is better).
-    pub events_per_sec: f64,
-    /// Wall-clock of the measured run in ms (reported, never gated).
-    pub wall_ms: f64,
-}
-
-/// A parsed baseline / measurement file: `(bench name, metrics)` in
-/// file order.
-pub type BenchFile = Vec<(String, BenchMetrics)>;
-
-/// The machine a baseline was measured on. Recorded by
-/// `laps-bench --emit-baseline` under the reserved top-level `"host"`
-/// key so the gate can tell "the code got slower" apart from "a
-/// different machine ran the bench". A mismatch between baseline and
-/// fresh run downgrades per-metric regressions to warnings (see
-/// [`compare_docs`]) — CI runners legitimately differ from the
-/// baseline machine, and a number measured elsewhere cannot convict
-/// the code.
+/// The machine a measurement ran on: CPU model, visible core count and
+/// toolchain version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostFingerprint {
     /// CPU model string (`model name` from `/proc/cpuinfo`).
     pub cpu_model: String,
     /// Logical core count visible to the process.
     pub cores: u64,
-    /// `rustc --version` of the toolchain that built the bench binary.
+    /// `rustc --version` of the `rustc` on `PATH` when [`detect`] ran
+    /// (not necessarily the toolchain that built the calling binary).
+    ///
+    /// [`detect`]: HostFingerprint::detect
     pub rustc: String,
 }
 
 impl HostFingerprint {
     /// Best-effort detection on the current machine. Each field falls
-    /// back to `"unknown"` / `0` rather than erroring — a baseline with
-    /// a partial fingerprint beats no fingerprint.
+    /// back to `"unknown"` / `0` rather than erroring — a partial
+    /// fingerprint beats none.
     pub fn detect() -> HostFingerprint {
         let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
             .ok()
@@ -104,628 +53,22 @@ impl HostFingerprint {
         }
     }
 
-    /// One-line human rendering, used in mismatch notes.
+    /// One-line human rendering, as the repository benchmark prints it.
     pub fn describe(&self) -> String {
         format!("{} / {} cores / {}", self.cpu_model, self.cores, self.rustc)
     }
-}
-
-/// A full bench document: the measured rows plus the optional host
-/// fingerprint block. Old baselines (pre-fingerprint) parse with
-/// `host: None`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchDoc {
-    /// Machine that produced the rows, when recorded.
-    pub host: Option<HostFingerprint>,
-    /// Bench rows in file order.
-    pub rows: BenchFile,
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Parse the bench JSON schema including the optional `"host"` block.
-/// Unknown extra keys inside a row are ignored; missing metric keys
-/// are an error naming the bench; a present-but-malformed host block
-/// is an error (absence is fine — old baselines predate it).
-pub fn parse_doc(text: &str) -> Result<BenchDoc, String> {
-    let value = serde_json::parse_value(text).map_err(|e| e.to_string())?;
-    let Value::Object(rows) = value else {
-        return Err("bench file: expected a top-level object".to_string());
-    };
-    let mut doc = BenchDoc::default();
-    for (name, metrics) in rows {
-        if name == "host" {
-            let s = |key: &str| -> Result<String, String> {
-                match metrics.get(key) {
-                    Some(Value::Str(v)) => Ok(v.clone()),
-                    _ => Err(format!("host block: missing string {key:?}")),
-                }
-            };
-            let cores = match metrics.get("cores") {
-                Some(Value::U64(n)) => *n,
-                Some(Value::I64(n)) if *n >= 0 => *n as u64,
-                _ => return Err("host block: missing numeric \"cores\"".to_string()),
-            };
-            doc.host = Some(HostFingerprint {
-                cpu_model: s("cpu_model")?,
-                cores,
-                rustc: s("rustc")?,
-            });
-            continue;
-        }
-        let metric = |key: &str| -> Result<f64, String> {
-            match metrics.get(key) {
-                Some(Value::F64(f)) => Ok(*f),
-                Some(Value::U64(n)) => Ok(*n as f64),
-                Some(Value::I64(n)) => Ok(*n as f64),
-                _ => Err(format!("bench {name:?}: missing numeric {key:?}")),
-            }
-        };
-        doc.rows.push((
-            name.clone(),
-            BenchMetrics {
-                packets_per_sec: metric("packets_per_sec")?,
-                events_per_sec: metric("events_per_sec")?,
-                wall_ms: metric("wall_ms")?,
-            },
-        ));
-    }
-    Ok(doc)
-}
-
-/// Parse only the bench rows (the pre-fingerprint entry point; the
-/// `"host"` block, if present, is skipped).
-pub fn parse(text: &str) -> Result<BenchFile, String> {
-    parse_doc(text).map(|doc| doc.rows)
-}
-
-/// Render a [`BenchDoc`] in the canonical schema: the `"host"` block
-/// first when present, then the rows in stable order.
-pub fn render_doc(doc: &BenchDoc) -> String {
-    let mut json = String::from("{\n");
-    if let Some(h) = &doc.host {
-        let _ = write!(
-            json,
-            "  \"host\": {{\"cpu_model\": \"{}\", \"cores\": {}, \"rustc\": \"{}\"}}",
-            escape_json(&h.cpu_model),
-            h.cores,
-            escape_json(&h.rustc)
-        );
-        json.push_str(if doc.rows.is_empty() { "\n" } else { ",\n" });
-    }
-    for (i, (name, m)) in doc.rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "  \"{}\": {{\"packets_per_sec\": {:.0}, \"events_per_sec\": {:.0}, \"wall_ms\": {:.2}}}",
-            escape_json(name),
-            m.packets_per_sec,
-            m.events_per_sec,
-            m.wall_ms
-        );
-        json.push_str(if i + 1 < doc.rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("}\n");
-    json
-}
-
-/// Render a [`BenchFile`] in the canonical schema (stable key order,
-/// no host block).
-pub fn render(rows: &BenchFile) -> String {
-    render_doc(&BenchDoc {
-        host: None,
-        rows: rows.clone(),
-    })
-}
-
-/// One metric's comparison.
-#[derive(Debug, Clone)]
-pub struct Delta {
-    /// Bench row name.
-    pub bench: String,
-    /// Metric name.
-    pub metric: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Fresh value.
-    pub current: f64,
-    /// `current / baseline` (`inf` when baseline is 0).
-    pub ratio: f64,
-    /// Relative tolerance applied.
-    pub tolerance: f64,
-    /// Whether this metric participates in pass/fail.
-    pub gated: bool,
-    /// Gated and below `baseline × (1 − tolerance)`.
-    pub regressed: bool,
-}
-
-/// The full comparison report.
-#[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    /// Per-metric rows, baseline file order.
-    pub deltas: Vec<Delta>,
-    /// Benches present in the baseline but absent from the fresh file
-    /// (always a failure: a silently vanished bench hides regressions).
-    pub missing: Vec<String>,
-    /// Benches only in the fresh file (informational).
-    pub extra: Vec<String>,
-    /// Host-fingerprint commentary: set when the baseline and fresh
-    /// files were measured on observably different machines (or one
-    /// side lacks a fingerprint). Reported, never gated — see
-    /// [`DiffReport::passed`].
-    pub host_note: Option<String>,
-    /// Both files carry a fingerprint and they differ: the two runs
-    /// were measured on observably different machines, so a throughput
-    /// delta cannot be attributed to the code. Per-metric regressions
-    /// are downgraded to warnings (see [`DiffReport::passed`]).
-    /// One-sided or absent fingerprints do *not* set this — without
-    /// positive evidence of a different machine, the gate stays armed.
-    pub host_mismatch: bool,
-}
-
-impl DiffReport {
-    /// True when no gated metric regressed and no bench vanished.
-    /// Under a proven [`host_mismatch`](Self::host_mismatch), gated
-    /// regressions demote to warnings and no longer fail: a slower
-    /// machine would otherwise veto every PR touching the baseline. A
-    /// *vanished bench row* still fails regardless — which benches
-    /// exist is a property of the code, not the host.
-    pub fn passed(&self) -> bool {
-        self.missing.is_empty() && (self.host_mismatch || self.deltas.iter().all(|d| !d.regressed))
-    }
-
-    /// Gated metrics below tolerance that [`passed`](Self::passed)
-    /// forgave because of the host mismatch. Empty when the hosts
-    /// match (those regressions fail instead of warning).
-    pub fn downgraded(&self) -> Vec<&Delta> {
-        if !self.host_mismatch {
-            return Vec::new();
-        }
-        self.deltas.iter().filter(|d| d.regressed).collect()
-    }
-
-    /// Console/markdown delta table (markdown pipe syntax renders fine
-    /// in both). A host mismatch, when present, leads as a quote block
-    /// so readers weigh the throughput deltas accordingly.
-    pub fn markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(note) = &self.host_note {
-            let _ = writeln!(out, "> {note}\n");
-        }
-        out.push_str("| bench | metric | baseline | current | ratio | tol | status |\n");
-        out.push_str("|---|---|---:|---:|---:|---:|---|\n");
-        for d in &self.deltas {
-            let status = if d.regressed && self.host_mismatch {
-                "**WARN** (host mismatch)"
-            } else if d.regressed {
-                "**REGRESSED**"
-            } else if !d.gated {
-                "info"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {:.0} | {:.0} | {:.2}× | −{:.0}% | {} |",
-                d.bench,
-                d.metric,
-                d.baseline,
-                d.current,
-                d.ratio,
-                d.tolerance * 100.0,
-                status
-            );
-        }
-        for b in &self.missing {
-            let _ = writeln!(out, "| {b} | — | — | — | — | — | **MISSING** |");
-        }
-        for b in &self.extra {
-            let _ = writeln!(out, "| {b} | — | — | — | — | — | new |");
-        }
-        out
-    }
-}
-
-/// Per-metric relative tolerances; `default_rel` applies to any gated
-/// metric without an explicit entry.
-#[derive(Debug, Clone)]
-pub struct Tolerances {
-    /// Fallback relative tolerance (0.75 = fail below 25% of baseline).
-    pub default_rel: f64,
-    /// `(metric, rel)` overrides.
-    pub per_metric: Vec<(String, f64)>,
-    /// Bench rows reported but never gated — for rows whose baseline is
-    /// too fresh to convict anything (e.g. a first-landing wall-clock
-    /// row with no second measurement to corroborate it). A vanished
-    /// informational row still fails: which rows exist is a property of
-    /// the code.
-    pub informational_rows: Vec<String>,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        // Generous by design: catches structural collapses across
-        // machine-speed differences, not percent-level noise.
-        Tolerances {
-            default_rel: 0.75,
-            per_metric: Vec::new(),
-            informational_rows: Vec::new(),
-        }
-    }
-}
-
-impl Tolerances {
-    fn for_metric(&self, metric: &str) -> f64 {
-        self.per_metric
-            .iter()
-            .find(|(m, _)| m == metric)
-            .map(|(_, t)| *t)
-            .unwrap_or(self.default_rel)
-    }
-}
-
-const GATED_METRICS: &[&str] = &["packets_per_sec", "events_per_sec"];
-
-/// Compare `current` against `baseline`.
-pub fn compare(baseline: &BenchFile, current: &BenchFile, tol: &Tolerances) -> DiffReport {
-    let mut report = DiffReport::default();
-    for (name, base) in baseline {
-        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
-            report.missing.push(name.clone());
-            continue;
-        };
-        let rows: [(&'static str, f64, f64); 3] = [
-            ("packets_per_sec", base.packets_per_sec, cur.packets_per_sec),
-            ("events_per_sec", base.events_per_sec, cur.events_per_sec),
-            ("wall_ms", base.wall_ms, cur.wall_ms),
-        ];
-        for (metric, b, c) in rows {
-            let gated = GATED_METRICS.contains(&metric)
-                && !tol.informational_rows.iter().any(|r| r == name);
-            let tolerance = tol.for_metric(metric);
-            let ratio = if b == 0.0 { f64::INFINITY } else { c / b };
-            let regressed = gated && c < b * (1.0 - tolerance);
-            report.deltas.push(Delta {
-                bench: name.clone(),
-                metric,
-                baseline: b,
-                current: c,
-                ratio,
-                tolerance,
-                gated,
-                regressed,
-            });
-        }
-    }
-    for (name, _) in current {
-        if !baseline.iter().any(|(n, _)| n == name) {
-            report.extra.push(name.clone());
-        }
-    }
-    report
-}
-
-/// Compare two full documents: the row comparison of [`compare`] plus
-/// host-fingerprint handling. When both fingerprints are present and
-/// differ, per-metric regressions are downgraded to warnings
-/// ([`DiffReport::host_mismatch`]); absent or one-sided fingerprints
-/// only produce an informational note and leave the gate armed.
-pub fn compare_docs(baseline: &BenchDoc, current: &BenchDoc, tol: &Tolerances) -> DiffReport {
-    let mut report = compare(&baseline.rows, &current.rows, tol);
-    report.host_mismatch = matches!(
-        (&baseline.host, &current.host),
-        (Some(b), Some(c)) if b != c
-    );
-    report.host_note = match (&baseline.host, &current.host) {
-        (Some(b), Some(c)) if b != c => Some(format!(
-            "host mismatch: baseline measured on [{}], current on [{}] — throughput deltas \
-             reflect the machine as much as the code, so below-tolerance metrics are \
-             downgraded to warnings and do not fail the gate",
-            b.describe(),
-            c.describe()
-        )),
-        (Some(_), Some(_)) => None,
-        (Some(b), None) => Some(format!(
-            "current run records no host fingerprint (baseline: [{}])",
-            b.describe()
-        )),
-        (None, Some(c)) => Some(format!(
-            "baseline predates host fingerprints (current measured on [{}])",
-            c.describe()
-        )),
-        (None, None) => None,
-    };
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn file(rows: &[(&str, f64, f64, f64)]) -> BenchFile {
-        rows.iter()
-            .map(|&(n, p, e, w)| {
-                (
-                    n.to_string(),
-                    BenchMetrics {
-                        packets_per_sec: p,
-                        events_per_sec: e,
-                        wall_ms: w,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parse_render_round_trip() {
-        let f = file(&[("hotpath", 6_699_420.0, 7_000_000.0, 100.25)]);
-        let parsed = parse(&render(&f)).expect("parse rendered");
-        assert_eq!(parsed, f);
-    }
-
-    #[test]
-    fn parse_rejects_missing_metric() {
-        assert!(parse("{\"x\": {\"packets_per_sec\": 1}}").is_err());
-        assert!(parse("[1,2]").is_err());
-    }
-
-    #[test]
-    fn within_tolerance_passes() {
-        let base = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let cur = file(&[("hotpath", 400.0, 900.0, 99.0)]); // 0.40× / 0.45×
-        let report = compare(&base, &cur, &Tolerances::default()); // floor 0.25×
-        assert!(report.passed(), "{report:?}");
-    }
-
-    #[test]
-    fn below_tolerance_fails() {
-        let base = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let cur = file(&[("hotpath", 200.0, 1900.0, 10.0)]); // 0.20× < 0.25×
-        let report = compare(&base, &cur, &Tolerances::default());
-        assert!(!report.passed());
-        let bad: Vec<&Delta> = report.deltas.iter().filter(|d| d.regressed).collect();
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].metric, "packets_per_sec");
-    }
-
-    #[test]
-    fn wall_ms_never_gates() {
-        let base = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let cur = file(&[("hotpath", 1000.0, 2000.0, 10_000.0)]);
-        assert!(compare(&base, &cur, &Tolerances::default()).passed());
-    }
-
-    #[test]
-    fn missing_bench_fails_and_extra_is_informational() {
-        let base = file(&[("hotpath", 1.0, 1.0, 1.0), ("gone", 1.0, 1.0, 1.0)]);
-        let cur = file(&[("hotpath", 1.0, 1.0, 1.0), ("new", 1.0, 1.0, 1.0)]);
-        let report = compare(&base, &cur, &Tolerances::default());
-        assert!(!report.passed());
-        assert_eq!(report.missing, vec!["gone".to_string()]);
-        assert_eq!(report.extra, vec!["new".to_string()]);
-    }
-
-    #[test]
-    fn per_metric_override_applies() {
-        let base = file(&[("hotpath", 1000.0, 1000.0, 1.0)]);
-        let cur = file(&[("hotpath", 700.0, 700.0, 1.0)]);
-        let tol = Tolerances {
-            default_rel: 0.75,
-            per_metric: vec![("packets_per_sec".to_string(), 0.1)],
-            ..Tolerances::default()
-        };
-        let report = compare(&base, &cur, &tol);
-        assert!(!report.passed());
-        let bad: Vec<&str> = report
-            .deltas
-            .iter()
-            .filter(|d| d.regressed)
-            .map(|d| d.metric)
-            .collect();
-        assert_eq!(bad, vec!["packets_per_sec"]);
-    }
-
-    #[test]
-    fn informational_rows_report_but_never_gate() {
-        let base = file(&[
-            ("hotpath", 1000.0, 1000.0, 1.0),
-            ("hotpath-exec", 1000.0, 1000.0, 1.0),
-        ]);
-        let cur = file(&[
-            ("hotpath", 900.0, 900.0, 1.0),
-            ("hotpath-exec", 1.0, 1.0, 1.0),
-        ]);
-        let tol = Tolerances {
-            informational_rows: vec!["hotpath-exec".to_string()],
-            ..Tolerances::default()
-        };
-        let report = compare(&base, &cur, &tol);
-        assert!(
-            report.passed(),
-            "a collapsed informational row must not fail"
-        );
-        assert!(report
-            .deltas
-            .iter()
-            .filter(|d| d.bench == "hotpath-exec")
-            .all(|d| !d.gated && !d.regressed));
-        // The row is still reported, and vanishing still fails.
-        assert!(report.deltas.iter().any(|d| d.bench == "hotpath-exec"));
-        let gone = compare(&base, &file(&[("hotpath", 1000.0, 1000.0, 1.0)]), &tol);
-        assert!(!gone.passed(), "a vanished informational row still fails");
-    }
-
-    fn host(model: &str, cores: u64, rustc: &str) -> HostFingerprint {
-        HostFingerprint {
-            cpu_model: model.to_string(),
-            cores,
-            rustc: rustc.to_string(),
-        }
-    }
-
-    #[test]
-    fn doc_round_trips_with_host_block() {
-        let doc = BenchDoc {
-            host: Some(host("Example CPU \"X\" @ 3GHz", 16, "rustc 1.80.0")),
-            rows: file(&[("hotpath", 6_699_420.0, 7_000_000.0, 100.25)]),
-        };
-        let parsed = parse_doc(&render_doc(&doc)).expect("parse rendered doc");
-        assert_eq!(parsed, doc);
-    }
-
-    #[test]
-    fn parse_doc_tolerates_absent_host() {
-        let rows = file(&[("hotpath", 1.0, 2.0, 3.0)]);
-        let doc = parse_doc(&render(&rows)).expect("parse pre-fingerprint file");
-        assert_eq!(doc.host, None);
-        assert_eq!(doc.rows, rows);
-        // And the rows-only entry point skips a host block rather than
-        // choking on its non-metric keys.
-        let with_host = BenchDoc {
-            host: Some(host("cpu", 8, "rustc")),
-            rows: rows.clone(),
-        };
-        assert_eq!(parse(&render_doc(&with_host)).expect("parse"), rows);
-    }
-
-    #[test]
-    fn parse_doc_rejects_malformed_host() {
-        assert!(parse_doc("{\"host\": {\"cpu_model\": \"x\"}}").is_err());
-        assert!(parse_doc(
-            "{\"host\": {\"cpu_model\": \"x\", \"cores\": \"not a number\", \"rustc\": \"r\"}}"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn host_mismatch_is_reported_not_gated() {
-        let rows = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let base = BenchDoc {
-            host: Some(host("cpu-a", 16, "rustc 1.80.0")),
-            rows: rows.clone(),
-        };
-        let cur = BenchDoc {
-            host: Some(host("cpu-b", 4, "rustc 1.80.0")),
-            rows,
-        };
-        let report = compare_docs(&base, &cur, &Tolerances::default());
-        assert!(report.passed(), "mismatch must not gate");
-        assert!(report.host_mismatch);
-        let note = report.host_note.as_deref().expect("mismatch note");
-        assert!(note.contains("cpu-a") && note.contains("cpu-b"), "{note}");
-        assert!(report.markdown().starts_with("> host mismatch"));
-    }
-
-    #[test]
-    fn host_mismatch_downgrades_regressions_to_warnings() {
-        // 0.10× is far below the 0.25× floor: fails on the same host…
-        let base = BenchDoc {
-            host: Some(host("cpu-a", 16, "rustc 1.80.0")),
-            rows: file(&[("hotpath", 1000.0, 2000.0, 10.0)]),
-        };
-        let cur_rows = file(&[("hotpath", 100.0, 1900.0, 10.0)]);
-        let same_host = BenchDoc {
-            host: base.host.clone(),
-            rows: cur_rows.clone(),
-        };
-        let tol = Tolerances::default();
-        assert!(!compare_docs(&base, &same_host, &tol).passed());
-
-        // …but only warns when the fingerprints prove a different box.
-        let other_host = BenchDoc {
-            host: Some(host("cpu-b", 4, "rustc 1.80.0")),
-            rows: cur_rows,
-        };
-        let report = compare_docs(&base, &other_host, &tol);
-        assert!(report.passed(), "{report:?}");
-        let downgraded = report.downgraded();
-        assert_eq!(downgraded.len(), 1);
-        assert_eq!(downgraded[0].metric, "packets_per_sec");
-        assert!(report.markdown().contains("**WARN** (host mismatch)"));
-        assert!(!report.markdown().contains("**REGRESSED**"));
-    }
-
-    #[test]
-    fn one_sided_fingerprint_does_not_downgrade() {
-        // Without positive evidence of a different machine the gate
-        // stays armed: an old baseline with no host block still fails
-        // a genuine regression.
-        let base = BenchDoc {
-            host: None,
-            rows: file(&[("hotpath", 1000.0, 2000.0, 10.0)]),
-        };
-        let cur = BenchDoc {
-            host: Some(host("cpu-b", 4, "rustc 1.80.0")),
-            rows: file(&[("hotpath", 100.0, 1900.0, 10.0)]),
-        };
-        let report = compare_docs(&base, &cur, &Tolerances::default());
-        assert!(!report.host_mismatch);
-        assert!(!report.passed());
-        assert!(report.downgraded().is_empty());
-    }
-
-    #[test]
-    fn missing_bench_still_fails_under_host_mismatch() {
-        let base = BenchDoc {
-            host: Some(host("cpu-a", 16, "rustc 1.80.0")),
-            rows: file(&[("hotpath", 1.0, 1.0, 1.0), ("gone", 1.0, 1.0, 1.0)]),
-        };
-        let cur = BenchDoc {
-            host: Some(host("cpu-b", 4, "rustc 1.80.0")),
-            rows: file(&[("hotpath", 1.0, 1.0, 1.0)]),
-        };
-        let report = compare_docs(&base, &cur, &Tolerances::default());
-        assert!(report.host_mismatch);
-        assert!(!report.passed(), "a vanished bench is a code property");
-    }
-
-    #[test]
-    fn matching_or_absent_fingerprints_stay_quiet_or_noted() {
-        let rows = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let with = |h: Option<HostFingerprint>| BenchDoc {
-            host: h,
-            rows: rows.clone(),
-        };
-        let same = host("cpu", 16, "rustc");
-        let tol = Tolerances::default();
-        assert_eq!(
-            compare_docs(&with(Some(same.clone())), &with(Some(same.clone())), &tol).host_note,
-            None
-        );
-        assert_eq!(compare_docs(&with(None), &with(None), &tol).host_note, None);
-        // One-sided fingerprints get an informational note, still passing.
-        let one_sided = compare_docs(&with(None), &with(Some(same)), &tol);
-        assert!(one_sided.passed());
-        assert!(one_sided
-            .host_note
-            .as_deref()
-            .is_some_and(|n| n.contains("predates")));
-    }
-
     #[test]
     fn detect_fills_every_field() {
         let h = HostFingerprint::detect();
         assert!(!h.cpu_model.is_empty());
         assert!(!h.rustc.is_empty());
-        // `describe` is what mismatch notes embed — keep it one line.
+        // `describe` is printed as one `host:` line — keep it one line.
         assert!(!h.describe().contains('\n'));
-    }
-
-    #[test]
-    fn markdown_contains_verdicts() {
-        let base = file(&[("hotpath", 1000.0, 2000.0, 10.0)]);
-        let cur = file(&[("hotpath", 100.0, 1900.0, 10.0)]);
-        let md = compare(&base, &cur, &Tolerances::default()).markdown();
-        assert!(md.contains("REGRESSED"));
-        assert!(md.contains("| hotpath | packets_per_sec |"));
     }
 }

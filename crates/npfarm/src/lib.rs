@@ -23,9 +23,9 @@
 //! * [`Farm`] — the orchestrator: bounded work-stealing pool
 //!   ([`pool`]), content-addressed cache ([`cache`]), shard/resume
 //!   selection, per-cell JSONL with wall-time and packets/s;
-//! * [`benchdiff`] — the perf-regression gate: compares a fresh bench
-//!   JSON against the committed baseline with per-metric tolerances
-//!   and renders a markdown delta table.
+//! * [`benchdiff`] — only the [`benchdiff::HostFingerprint`] the
+//!   repository benchmark prints with its results; the module keeps its
+//!   name because `benchmark/` imports that path.
 //!
 //! Shared CLI flags (parsed by [`Farm::from_args`], ignored by the
 //! binaries' own parsers): `--jobs N`, `--shard k/n`, `--resume`,

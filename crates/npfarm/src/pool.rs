@@ -83,7 +83,8 @@ where
         .collect()
 }
 
-/// Default worker count: the machine's parallelism, with a floor of 1.
+/// Default worker count: the machine's available parallelism, or 4
+/// when the platform cannot report it.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())

@@ -43,7 +43,7 @@
 
 use super::ingest::{Admission, IngestStage};
 use super::pending::Pending;
-use super::{Engine, ExecutionMode};
+use super::Engine;
 use crate::probe::ProbeHost;
 use crate::sched::Scheduler;
 use detsim::SimTime;
@@ -198,7 +198,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// machinery (crash generations, stalls, floods, head-drop/staging)
     /// keeps the scalar loop.
     pub(super) fn batch_eligible(&self) -> bool {
-        self.cfg.execution == ExecutionMode::Batched && !self.faults_enabled
+        !self.faults_enabled
     }
 
     /// The batched run loop. Returns the time of the last dispatched

@@ -65,29 +65,6 @@ use pending::{Ev, Pending};
 use record::RecordStage;
 use service::{EnqueueOutcome, ServiceStage};
 
-/// How the run loop moves packets through the pipeline.
-///
-/// Both modes implement the same `(time, seq)` total order and produce
-/// **byte-identical reports** for the same configuration and seed
-/// (pinned by the workspace `batch_equivalence` property test): the
-/// batched loop pre-draws per-source arrival bursts from their private
-/// RNG streams and replaces the event heap with a bounded merge scan,
-/// but performs every shared-state mutation at the same simulated
-/// instant, in the same order, as the scalar loop. See
-/// DESIGN.md "Batched execution".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One event at a time through the central event queue — the
-    /// reference implementation, and the automatic fallback whenever
-    /// fault machinery is configured.
-    Scalar,
-    /// Burst-oriented execution (the default): arrivals pre-drawn up to
-    /// a burst of 32 per source, heap replaced by a merge over
-    /// per-source heads and per-core finish slots.
-    #[default]
-    Batched,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -129,11 +106,6 @@ pub struct EngineConfig {
     /// What to do with an arrival at a full per-core queue (default:
     /// drop-tail, the paper's model).
     pub drop_policy: DropPolicy,
-    /// Run-loop execution strategy (default: batched bursts of 32).
-    /// Semantics are identical either way; this knob only trades
-    /// wall-clock speed and exists so benchmarks and equivalence tests
-    /// can pin the scalar reference loop.
-    pub execution: ExecutionMode,
 }
 
 impl Default for EngineConfig {
@@ -152,7 +124,6 @@ impl Default for EngineConfig {
             control_plane_fraction: 0.0,
             faults: FaultPlan::new(),
             drop_policy: DropPolicy::default(),
-            execution: ExecutionMode::default(),
         }
     }
 }
@@ -722,6 +693,18 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     pub fn run_returning_scheduler(self) -> (SimReport, S) {
         let (report, scheduler, _probes) = self.run_full();
         (report, scheduler)
+    }
+
+    /// Run to completion under the scalar reference loop, whatever the
+    /// configuration, and return the report.
+    ///
+    /// [`Engine::run`] picks the batched loop whenever no fault machinery
+    /// is configured; both loops produce byte-identical reports (pinned
+    /// by the workspace `batch_equivalence` test, which compares this
+    /// method against [`Engine::run`]). See DESIGN.md "Batched execution".
+    pub fn run_reference(mut self) -> SimReport {
+        let last_t = self.run_scalar();
+        self.finish(last_t).0
     }
 
     /// Run to completion and hand back the report, the scheduler, and

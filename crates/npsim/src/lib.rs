@@ -47,7 +47,7 @@ pub mod restore;
 pub mod sched;
 pub mod source;
 
-pub use engine::{ArrivalPlan, Engine, EngineConfig, ExecutionMode, ScheduledPacket};
+pub use engine::{ArrivalPlan, Engine, EngineConfig, ScheduledPacket};
 pub use event::SimEvent;
 pub use exec::{DetsimBackend, ExecBackend, ExecError, UnsupportedPlan};
 pub use fault::{DropPolicy, FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};

@@ -7,10 +7,10 @@
 //! loop allocates the heap's insertion sequence at exactly the scalar
 //! push points, so the `(time, seq)` total order — and with it every
 //! reorder count, migration, drop, and latency stat — is identical.
-//! This is the contract that lets `ExecutionMode::Batched` be the
-//! default.
+//! This is the contract that lets [`Engine::run`] take the batched loop:
+//! every case below compares it against [`Engine::run_reference`], the
+//! scalar loop.
 
-use laps_repro::npsim::ExecutionMode;
 use laps_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -34,16 +34,16 @@ const POLICIES: [&str; 13] = [
     "scr-sync16",
 ];
 
-#[allow(clippy::too_many_arguments)] // flat scenario knobs; a config struct would just restate them
+/// One scenario under both loops: the `(scalar, batched)` reports as
+/// JSON, from [`Engine::run_reference`] and [`Engine::run`].
 fn run(
     policy: &str,
-    execution: ExecutionMode,
     preset: u8,
     seed: u64,
     duration_ms: u64,
     scale: f64,
     n_sources: usize,
-) -> String {
+) -> (String, String) {
     let sources: Vec<SourceConfig> = (0..n_sources)
         .map(|i| SourceConfig {
             service: ServiceKind::ALL[i % ServiceKind::ALL.len()],
@@ -51,21 +51,24 @@ fn run(
             rate: RateSpec::Constant(8.0 / n_sources as f64),
         })
         .collect();
-    let report = SimBuilder::new()
-        .cores(8)
-        .duration(SimTime::from_millis(duration_ms))
-        .scale(scale)
-        .seed(seed)
-        .configure(|cfg| {
-            cfg.execution = execution;
-            // Price the SCR sync model so the scr-* policies exercise it;
-            // dormant for every policy without a sync_policy().
-            cfg.delay.sync_cost_us = 0.5;
-        })
-        .sources(sources)
-        .run_named(policy)
-        .expect("builtin policy");
-    serde_json::to_string(&report).expect("report serializes")
+    let mut cfg = EngineConfig {
+        n_cores: 8,
+        duration: SimTime::from_millis(duration_ms),
+        scale,
+        seed,
+        ..EngineConfig::default()
+    };
+    // Price the SCR sync model so the scr-* policies exercise it;
+    // dormant for every policy without a sync_policy().
+    cfg.delay.sync_cost_us = 0.5;
+    let engine = || {
+        let scheduler = SchedulerRegistry::builtin()
+            .build(policy, &cfg)
+            .expect("builtin policy");
+        Engine::new(cfg.clone(), &sources, scheduler)
+    };
+    let json = |report: SimReport| serde_json::to_string(&report).expect("report serializes");
+    (json(engine().run_reference()), json(engine().run()))
 }
 
 proptest! {
@@ -84,8 +87,7 @@ proptest! {
     ) {
         let policy = POLICIES[policy_i];
         let scale = scale_i as f64;
-        let scalar = run(policy, ExecutionMode::Scalar, preset, seed, duration_ms, scale, n_sources);
-        let batched = run(policy, ExecutionMode::Batched, preset, seed, duration_ms, scale, n_sources);
+        let (scalar, batched) = run(policy, preset, seed, duration_ms, scale, n_sources);
         prop_assert_eq!(scalar, batched, "policy={}", policy);
     }
 }
@@ -95,8 +97,7 @@ proptest! {
 #[test]
 fn every_policy_matches_at_default_burst() {
     for policy in POLICIES {
-        let scalar = run(policy, ExecutionMode::Scalar, 2, 7, 3, 10.0, 2);
-        let batched = run(policy, ExecutionMode::Batched, 2, 7, 3, 10.0, 2);
+        let (scalar, batched) = run(policy, 2, 7, 3, 10.0, 2);
         assert_eq!(scalar, batched, "policy={policy}");
     }
 }
@@ -110,8 +111,7 @@ fn partial_bursts_at_source_exhaustion() {
     for n_sources in [1usize, 3] {
         // ~8 packets/ms shared across sources over 1 ms: a handful of
         // arrivals per source, nowhere near a full burst of 32.
-        let scalar = run("fcfs", ExecutionMode::Scalar, 1, 99, 1, 40.0, n_sources);
-        let batched = run("fcfs", ExecutionMode::Batched, 1, 99, 1, 40.0, n_sources);
+        let (scalar, batched) = run("fcfs", 1, 99, 1, 40.0, n_sources);
         assert_eq!(scalar, batched, "n_sources={n_sources}");
     }
 }
