@@ -266,6 +266,11 @@ impl Laps {
 
     /// Wake the longest-parked core for `svc`, if any.
     fn wake_core(&mut self, svc: usize, now: SimTime) -> Option<usize> {
+        // Every park sets `parked_since` and every wake takes it, so
+        // equal counts mean no core is parked: skip the scan.
+        if self.parks == self.wakes {
+            return None;
+        }
         let core = self
             .cores
             .iter()
@@ -291,28 +296,54 @@ impl Laps {
         Some(core)
     }
 
+    /// Whether service `svc` may claim core `c` (state `cs`): a live,
+    /// unparked, surplus core of another service that keeps at least one
+    /// core and has not lost one within the cooldown.
+    fn claimable(&self, view: &SystemView<'_>, svc: usize, c: usize, cs: &CoreState) -> bool {
+        let victim = cs.owner;
+        cs.parked_since.is_none()
+            && !cs.dead
+            && victim != svc
+            && self.svc(victim).map.len() > 1
+            && self.cooled(self.svc(victim).last_loss, view.now)
+            && self.is_surplus(view, c)
+    }
+
+    /// The claim order of a claimable core: longest-spare first, ties to
+    /// the lower core index.
+    fn claim_key(view: &SystemView<'_>, c: usize) -> (Option<SimTime>, usize) {
+        (view.queues.get(c).map(|q| q.last_congested), c)
+    }
+
     /// The surplus cores another service could claim from `svc`'s point
-    /// of view, longest-spare first (observability + claim order).
+    /// of view, longest-spare first (observability; the claim itself
+    /// takes the first of these through `claim_candidate`).
     pub fn surplus_candidates(&self, view: &SystemView<'_>, svc: ServiceKind) -> Vec<usize> {
         let svc = svc.index();
         let mut v: Vec<usize> = self
             .cores
             .iter()
             .enumerate()
-            .filter(|&(c, cs)| {
-                let victim = cs.owner;
-                cs.parked_since.is_none()
-                    && !cs.dead
-                    && victim != svc
-                    && self.svc(victim).map.len() > 1
-                    && self.cooled(self.svc(victim).last_loss, view.now)
-                    && self.is_surplus(view, c)
-            })
+            .filter(|&(c, cs)| self.claimable(view, svc, c, cs))
             .map(|(c, _)| c)
-            // npcheck: allow(blocking-hot-path) — candidate scan runs on rebalance epochs, not per packet
+            // npcheck: allow(blocking-hot-path) — observability accessor: `request_core` claims through the allocation-free `claim_candidate`, so this never runs per packet
             .collect();
-        v.sort_by_key(|&c| (view.queues.get(c).map(|q| q.last_congested), c));
+        v.sort_by_key(|&c| Self::claim_key(view, c));
         v
+    }
+
+    /// The core `svc` would claim: the first of
+    /// [`Laps::surplus_candidates`], found by one min-scan over the
+    /// cores without allocating (the claim keys are distinct, so the
+    /// minimum is the sorted list's head).
+    fn claim_candidate(&self, view: &SystemView<'_>, svc: usize) -> Option<usize> {
+        self.cores
+            .iter()
+            .enumerate()
+            .filter(|&(c, cs)| self.claimable(view, svc, c, cs))
+            .map(|(c, _)| Self::claim_key(view, c))
+            .min()
+            .map(|(_, c)| c)
     }
 
     fn cooled(&self, stamp: Option<SimTime>, now: SimTime) -> bool {
@@ -330,9 +361,7 @@ impl Laps {
         if !self.cooled(self.svc(svc).last_gain, view.now) {
             return None;
         }
-        let core = *self
-            .surplus_candidates(view, ServiceKind::from_index(svc))
-            .first()?;
+        let core = self.claim_candidate(view, svc)?;
         let victim = self.cores.get(core)?.owner;
         let removed = self.svc_mut(victim).map.remove_core(core);
         debug_assert!(removed, "victim must own the surplus core");
@@ -349,20 +378,23 @@ impl Laps {
         Some(core)
     }
 
-    fn resolve_target(&mut self, svc: usize, pkt: &PacketDesc) -> usize {
-        if let Some(c) = self.svc(svc).migration.get(pkt.slot) {
-            // A stale override (core since transferred away, or dead) is
-            // dropped.
-            if self
-                .cores
-                .get(c)
-                .is_some_and(|cs| cs.owner == svc && !cs.dead)
-            {
-                return c;
-            }
-            self.svc_mut(svc).migration.remove(pkt.slot);
+    /// The packet's target core, and whether the migration table held
+    /// an override for its flow. One table probe: a stale override (core
+    /// since transferred away, or dead) is dropped and the hash decides,
+    /// but it still counts as held.
+    fn resolve_target(&mut self, svc: usize, pkt: &PacketDesc) -> (usize, bool) {
+        let Some(c) = self.svc(svc).migration.get(pkt.slot) else {
+            return (self.svc(svc).map.lookup(pkt.flow), false);
+        };
+        if self
+            .cores
+            .get(c)
+            .is_some_and(|cs| cs.owner == svc && !cs.dead)
+        {
+            return (c, true);
         }
-        self.svc(svc).map.lookup(pkt.flow)
+        self.svc_mut(svc).migration.remove(pkt.slot);
+        (self.svc(svc).map.lookup(pkt.flow), true)
     }
 
     /// The distinct live cores of `owner`'s map table, excluding `core`
@@ -390,8 +422,7 @@ impl Scheduler for Laps {
         self.afd.access(pkt.slot);
         self.park_idle_cores(view);
 
-        let has_override = self.svc(svc).migration.get(pkt.slot).is_some();
-        let mut target = self.resolve_target(svc, pkt);
+        let (mut target, has_override) = self.resolve_target(svc, pkt);
         let qlen = |c: usize| view.queues.get(c).map_or(0, |q| q.len);
 
         // Listing 1: load-imbalance handling.
@@ -418,7 +449,7 @@ impl Scheduler for Laps {
                 // is idle — re-resolve (the packet may hash to the new
                 // bucket) and steer this packet there if its own core is
                 // still the bottleneck.
-                let rehashed = self.resolve_target(svc, pkt);
+                let (rehashed, _) = self.resolve_target(svc, pkt);
                 target = if qlen(rehashed) >= self.cfg.high_thresh {
                     new_core
                 } else {
@@ -799,6 +830,58 @@ mod tests {
         for s in ServiceKind::ALL {
             assert_eq!(l.cores_of(s).len(), 1);
         }
+    }
+
+    #[test]
+    fn claim_scan_picks_first_surplus_candidate() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x00C1_A1A5);
+        let mut claims = 0;
+        for _ in 0..4_000 {
+            let n = rng.gen_range(4..17usize);
+            let mut l = Laps::new(LapsConfig {
+                realloc_cooldown: SimTime::from_micros(300),
+                ..cfg(n)
+            });
+            let now = SimTime::from_micros(1_000);
+            // Dead and parked cores are never claimable.
+            for c in 0..n {
+                if rng.gen_bool(0.1) {
+                    l.on_core_down(c);
+                }
+                if rng.gen_bool(0.1) {
+                    l.cores[c].parked_since = Some(SimTime::from_micros(rng.gen_range(0..1_000)));
+                }
+            }
+            // Some victims lost a core inside the cooldown.
+            for s in l.services.iter_mut() {
+                s.last_loss = match rng.gen_range(0..3u32) {
+                    0 => None,
+                    1 => Some(SimTime::from_micros(900)),
+                    _ => Some(SimTime::from_micros(100)),
+                };
+            }
+            // Queues: empty or not, congested recently or long ago, on
+            // few distinct instants so claim-order ties happen.
+            let mut spec = ViewSpec::calm(n);
+            spec.now = now;
+            for c in 0..n {
+                spec.lens[c] = if rng.gen_bool(0.3) { 3 } else { 0 };
+                spec.congested[c] = SimTime::from_micros(rng.gen_range(0..5u64) * 250);
+            }
+            let infos = spec.infos();
+            let v = SystemView {
+                now: spec.now,
+                queues: &infos,
+            };
+            for svc in ServiceKind::ALL {
+                let expected = l.surplus_candidates(&v, svc).first().copied();
+                assert_eq!(l.claim_candidate(&v, svc.index()), expected);
+                claims += usize::from(expected.is_some());
+            }
+        }
+        assert!(claims > 1_000, "too few claimable views ({claims})");
     }
 
     #[test]

@@ -202,6 +202,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     let mut holds: Vec<Held> = Vec::new();
     let mut held_depth = 0usize;
     let mut idle_polls = 0u32;
+    let mut done_seen = false;
     loop {
         if let Some(slot) = slot {
             // npcheck: ordering(Acquire pairs with the dispatcher's and watchdog's Release writes of the command word)
@@ -292,9 +293,17 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 }
             }
             None => {
-                // npcheck: ordering(Acquire pairs with the dispatcher's Release store after its final push — seeing done implies seeing every published slot)
-                if done.load(Ordering::Acquire) && holds.is_empty() && consumer.is_empty() {
+                // Only a pop that starts after `done` was seen proves the
+                // ring drained: this one may have read the tail before
+                // the dispatcher's last pushes, and the consumer's
+                // emptiness check reads the same cached tail.
+                if done_seen && holds.is_empty() {
                     break;
+                }
+                // npcheck: ordering(Acquire pairs with the dispatcher's Release store after its final push — seeing done implies the next pop sees every published slot)
+                if !done_seen && done.load(Ordering::Acquire) {
+                    done_seen = true;
+                    continue;
                 }
                 idle_polls += 1;
                 if idle_polls >= 64 {
